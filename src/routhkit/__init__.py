@@ -34,6 +34,7 @@ from .reduction import (
     evaluate_metric,
     lagrangian_full,
     mass_matrix_blocks,
+    metric_grad,
     momentum_map,
     reduced_energy,
     reduced_mass_matrix,

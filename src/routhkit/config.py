@@ -127,7 +127,10 @@ def parse_config(raw: dict) -> RunConfig:
     cfg.momentum_eta = _as_floats(mom.get("eta"), "momentum.eta")
 
     if raw.get("energy_target") is not None:
-        cfg.energy_target = float(raw["energy_target"])
+        target = _as_floats(raw["energy_target"], "energy_target")
+        _require(target.size == 1 and target[0] > 0,
+                 f"energy_target must be one positive number, got {raw['energy_target']!r}")
+        cfg.energy_target = float(target[0])
     cfg.t_end = float(raw.get("t_end", cfg.t_end))
     _require(cfg.t_end > 0, f"t_end must be positive, got {cfg.t_end}")
     cfg.dt = float(raw.get("dt", cfg.dt))

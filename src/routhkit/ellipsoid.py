@@ -33,6 +33,7 @@ from .integrate import (
     propagate,
     shoot_periodic,
 )
+from .reduction import gradient
 from .rigidbody import RigidBodyParams
 
 # Constraint residual allowed before an operation refuses the state.
@@ -93,15 +94,7 @@ class ConformalData:
             return np.zeros(3)
         if self.potential_grad is not None:
             return np.asarray(self.potential_grad(u), dtype=float)
-        out = np.empty(3)
-        for j in range(3):
-            h = 1e-6 * max(1.0, abs(u[j]))
-            up = u.copy()
-            um = u.copy()
-            up[j] += h
-            um[j] -= h
-            out[j] = (float(self.potential(up)) - float(self.potential(um))) / (2.0 * h)
-        return out
+        return gradient(self.potential, u)
 
 
 def surface_residual(p: RigidBodyParams, u) -> float:

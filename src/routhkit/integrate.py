@@ -26,12 +26,10 @@ from .reduction import (
     MomentumValue,
     ReducedState,
     SymmetricSystem,
-    _metric_raw,
     _reduced_accel,
+    accel,
     energy_full,
     evaluate_metric,
-    fd_step,
-    gradient,
     momentum_map,
     reduced_energy,
     solve_cyclic,
@@ -266,23 +264,7 @@ def full_rhs(sys: SymmetricSystem) -> Callable[[np.ndarray], np.ndarray]:
     def rhs(y: np.ndarray) -> np.ndarray:
         q = y[:n]
         v = y[d:]
-        qdot = v[:n]
-        K = evaluate_metric(sys, q)
-        dK = []
-        for b in range(n):
-            h = fd_step(q[b])
-            qp = q.copy()
-            qm = q.copy()
-            qp[b] += h
-            qm[b] -= h
-            dK.append((_metric_raw(sys, qp) - _metric_raw(sys, qm)) / (2.0 * h))
-        dV = gradient(sys.potential, q)
-        drift = sum(dKb * qdot[b] for b, dKb in enumerate(dK)) @ v
-        force = -drift
-        for b in range(n):
-            force[b] += 0.5 * float(v @ dK[b] @ v) - dV[b]
-        acc = np.linalg.solve(K, force)
-        return np.concatenate([v, acc])
+        return np.concatenate([v, accel(sys, q, v, evaluate_metric(sys, q))])
 
     return rhs
 

@@ -53,6 +53,9 @@ class SymmetricSystem:
             Evaluations with guard value below ``BOUNDARY_TOL`` raise
             ChartBoundary.
         name: Short identifier used in trajectory metadata.
+        mass_matrix_grad: Optional callable q -> (n, d, d) array whose
+            entry b is dK/dq_b.  Without it the dynamics take central
+            differences of ``mass_matrix``.
     """
 
     n: int
@@ -62,6 +65,7 @@ class SymmetricSystem:
     potential: Callable[[np.ndarray], float]
     pole_guard: Optional[Callable[[np.ndarray], float]] = None
     name: str = "system"
+    mass_matrix_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -239,6 +243,18 @@ def momentum_map(sys: SymmetricSystem, s: FullState) -> MomentumValue:
     return MomentumValue(xi=p[:sys.k], eta=p[sys.k:])
 
 
+def _cyclic_rates(sys: SymmetricSystem, K: np.ndarray, qdot: np.ndarray,
+                  c: np.ndarray) -> np.ndarray:
+    """Cyclic velocities D^-1 (c - Kcq qdot) from an already validated K."""
+    n = sys.n
+    rhs = c - K[n:, :n] @ qdot
+    if sys.n_cyclic == 1:
+        return rhs / K[n, n]
+    if sys.n_cyclic == 0:
+        return rhs
+    return np.linalg.solve(K[n:, n:], rhs)
+
+
 def solve_cyclic(sys: SymmetricSystem, q, qdot, f: MomentumValue) -> CyclicVelocities:
     """Cyclic velocities at fixed momentum: solve D w = (xi, eta) - Kcq qdot.
 
@@ -251,12 +267,7 @@ def solve_cyclic(sys: SymmetricSystem, q, qdot, f: MomentumValue) -> CyclicVeloc
             f"momentum dimensions ({f.xi.size},{f.eta.size}) do not match "
             f"system ({sys.k},{sys.l})"
         )
-    K = evaluate_metric(sys, q)
-    n = sys.n
-    rhs = f.as_vector() - K[n:, :n] @ qdot
-    if rhs.size == 0:
-        return CyclicVelocities(xdot=np.zeros(0), psidot=np.zeros(0))
-    w = np.linalg.solve(K[n:, n:], rhs)
+    w = _cyclic_rates(sys, evaluate_metric(sys, q), qdot, f.as_vector())
     return CyclicVelocities(xdot=w[:sys.k], psidot=w[sys.k:])
 
 
@@ -318,80 +329,71 @@ def reduced_mass_matrix(sys: SymmetricSystem, q) -> np.ndarray:
     return Kqq - Kqc @ np.linalg.solve(D, Kqc.T)
 
 
-def _effective_terms(sys: SymmetricSystem, c: np.ndarray, q: np.ndarray,
-                     validate: bool = True):
-    """Closed-form pieces of the Routhian at fixed momentum covector c.
-
-    The Routhian is exactly quadratic in the shape velocity:
-    0.5 qdot^T M qdot + g . qdot - V_eff, with
-    M the Schur complement, g = Kqc D^-1 c, and
-    V_eff = V0 + 0.5 c . D^-1 c.
-    """
-    K = evaluate_metric(sys, q) if validate else _metric_raw(sys, q)
-    n = sys.n
-    Kqq = K[:n, :n]
-    Kqc = K[:n, n:]
-    D = K[n:, n:]
-    if sys.n_cyclic == 0:
-        return Kqq.copy(), np.zeros(n), float(sys.potential(q))
-    stacked = np.empty((sys.n_cyclic, n + 1))
-    stacked[:, :n] = Kqc.T
-    stacked[:, n] = c
-    if sys.n_cyclic == 1:
-        sol = stacked / D[0, 0]
-    else:
-        sol = np.linalg.solve(D, stacked)
-    M = Kqq - Kqc @ sol[:, :n]
-    g = Kqc @ sol[:, n]
-    v_eff = float(sys.potential(q)) + 0.5 * float(c @ sol[:, n])
-    return M, g, v_eff
-
-
 def fd_step(value: float) -> float:
     """Central-difference step for first derivatives: max(1e-6, 1e-6 |value|)."""
     return max(1e-6, 1e-6 * abs(value))
 
 
-def gradient(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of a scalar function."""
+def gradient(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Central-difference derivative of fn along each coordinate of x.
+
+    Returns an array of shape (x.size,) + shape of fn(x): the gradient of
+    a scalar function, or the stacked partial derivatives of a matrix one.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.size)
+    out = []
     for j in range(x.size):
         h = fd_step(x[j])
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        out[j] = (fn(xp) - fn(xm)) / (2.0 * h)
-    return out
+        out.append((fn(xp) - fn(xm)) / (2.0 * h))
+    return np.array(out, dtype=float)
+
+
+def metric_grad(sys: SymmetricSystem, q: np.ndarray) -> np.ndarray:
+    """Shape derivatives of the kinetic matrix, stacked as (n, d, d).
+
+    Uses the system's closed form when it supplies ``mass_matrix_grad``,
+    otherwise central differences of the guarded metric.
+    """
+    if sys.mass_matrix_grad is None:
+        return gradient(lambda p: _metric_raw(sys, p), q)
+    guard_chart(sys, q)
+    dK = np.asarray(sys.mass_matrix_grad(q), dtype=float)
+    if dK.shape != (sys.n, sys.dim, sys.dim):
+        raise NotPositiveDefinite(
+            f"kinetic matrix derivative must be ({sys.n},{sys.dim},{sys.dim}), got {dK.shape}"
+        )
+    return dK
+
+
+def accel(sys: SymmetricSystem, q: np.ndarray, v: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Euler-Lagrange acceleration of the full system at (q, v).
+
+    d/dt (K v) = dL/dq with K = K(q) already validated: the cyclic rows
+    carry no force, the shape rows carry 0.5 v.(dK/dq_a) v - dV/dq_a.
+    """
+    n = sys.n
+    T = metric_grad(sys, q) @ v          # T[b] = (dK/dq_b) v
+    force = -(v[:n] @ T)
+    force[:n] += 0.5 * (T @ v) - gradient(sys.potential, q)
+    return np.linalg.solve(K, force)
 
 
 def _reduced_accel(sys: SymmetricSystem, c: np.ndarray, q: np.ndarray,
                    qdot: np.ndarray) -> np.ndarray:
-    """Shape acceleration from the Euler-Lagrange equations of the Routhian.
+    """Shape acceleration of the Routhian at fixed momentum covector c.
 
-    M qddot = dL/dq - (d/dq dL/dqdot) qdot, with the q-derivatives of the
-    exactly-assembled quadratic pieces taken by central differences.
+    Routh's equations are the shape rows of the full Euler-Lagrange system
+    on the momentum level set, so the state is completed with its cyclic
+    velocities and handed to the full kernel.
     """
-    n = sys.n
-    M0, g0, _ = _effective_terms(sys, c, q)
-    force = np.empty(n)
-    mixed = np.empty((n, n))
-    for b in range(n):
-        h = fd_step(q[b])
-        qp = q.copy()
-        qm = q.copy()
-        qp[b] += h
-        qm[b] -= h
-        Mp, gp, vp = _effective_terms(sys, c, qp, validate=False)
-        Mm, gm, vm = _effective_terms(sys, c, qm, validate=False)
-        dM = (Mp - Mm) / (2.0 * h)
-        dg = (gp - gm) / (2.0 * h)
-        dv = (vp - vm) / (2.0 * h)
-        force[b] = 0.5 * float(qdot @ dM @ qdot) + float(dg @ qdot) - dv
-        mixed[:, b] = dM @ qdot + dg
+    K = evaluate_metric(sys, q)
+    v = np.concatenate([qdot, _cyclic_rates(sys, K, qdot, c)])
     try:
-        return np.linalg.solve(M0, force - mixed @ qdot)
+        return accel(sys, q, v, K)[:sys.n]
     except np.linalg.LinAlgError as exc:
         raise SingularReducedMass("reduced mass matrix solve failed") from exc
 

@@ -81,6 +81,22 @@ def _metric_entries(p: RigidBodyParams, phi: float, theta: float):
     return k_pp, k_pt, k_ppsi, k_tt, k_tpsi, k_psipsi
 
 
+def _metric_entry_derivatives(p: RigidBodyParams, phi: float, theta: float):
+    """Derivatives of the nonconstant ``_metric_entries`` in phi and in theta."""
+    sp, cp = math.sin(phi), math.cos(phi)
+    st, ct = math.sin(theta), math.cos(theta)
+    ab = p.A - p.B
+    d_phi = (0.0,                                  # k_ppsi
+             -2.0 * ab * sp * cp,                  # k_tt
+             ab * st * (cp * cp - sp * sp),        # k_tpsi
+             2.0 * ab * sp * cp * st * st)         # k_psipsi
+    d_theta = (-p.C * st,
+               0.0,
+               ab * ct * sp * cp,
+               2.0 * (p.A * sp * sp + p.B * cp * cp - p.C) * st * ct)
+    return d_phi, d_theta
+
+
 def rb_system(p: RigidBodyParams) -> SymmetricSystem:
     """Adapted-chart system for the rigid body: n=2 shape (phi, theta), l=1.
 
@@ -95,6 +111,12 @@ def rb_system(p: RigidBodyParams) -> SymmetricSystem:
             [k_ppsi, k_tpsi, k_psipsi],
         ])
 
+    def mass_matrix_grad(q: np.ndarray) -> np.ndarray:
+        return np.array([
+            [[0.0, 0.0, d_ppsi], [0.0, d_tt, d_tpsi], [d_ppsi, d_tpsi, d_psipsi]]
+            for d_ppsi, d_tt, d_tpsi, d_psipsi in _metric_entry_derivatives(p, q[0], q[1])
+        ])
+
     def potential(q: np.ndarray) -> float:
         return p.potential_value(q[0], q[1])
 
@@ -103,7 +125,7 @@ def rb_system(p: RigidBodyParams) -> SymmetricSystem:
 
     return SymmetricSystem(n=2, k=0, l=1, mass_matrix=mass_matrix,
                            potential=potential, pole_guard=pole_guard,
-                           name="rigid-body")
+                           name="rigid-body", mass_matrix_grad=mass_matrix_grad)
 
 
 def _guard_theta(theta: float) -> None:

@@ -20,11 +20,15 @@ def central_force_system(potential: Optional[Callable[[float], float]] = None) -
     def mass(q: np.ndarray) -> np.ndarray:
         return np.array([[1.0, 0.0], [0.0, q[0] ** 2]])
 
+    def mass_grad(q: np.ndarray) -> np.ndarray:
+        return np.array([[[0.0, 0.0], [0.0, 2.0 * q[0]]]])
+
     def v0(q: np.ndarray) -> float:
         return 0.0 if potential is None else float(potential(q[0]))
 
     return SymmetricSystem(n=1, k=0, l=1, mass_matrix=mass, potential=v0,
-                           pole_guard=lambda q: float(q[0]), name="central-force")
+                           pole_guard=lambda q: float(q[0]), name="central-force",
+                           mass_matrix_grad=mass_grad)
 
 
 def harmonic_radial_potential(coefficient: float) -> Callable[[float], float]:
@@ -41,10 +45,14 @@ def constant_matrix_system(n: int, k: int, l: int, matrix,
     if K.shape != (d, d):
         raise ConfigError(f"custom matrix must be {d}x{d}, got {K.shape}")
 
+    dK = np.zeros((n, d, d))
+    dK.flags.writeable = False
+
     def mass(q: np.ndarray) -> np.ndarray:
         return K
 
     def v0(q: np.ndarray) -> float:
         return 0.0 if potential is None else float(potential(q))
 
-    return SymmetricSystem(n=n, k=k, l=l, mass_matrix=mass, potential=v0, name=name)
+    return SymmetricSystem(n=n, k=k, l=l, mass_matrix=mass, potential=v0, name=name,
+                           mass_matrix_grad=lambda q: dK)

@@ -70,10 +70,20 @@ def read_trajectory_csv(path: str) -> Tuple[Trajectory, List[str]]:
             if header is None:
                 header = [c.strip() for c in line.split(",")]
                 continue
-            rows.append([float(c) for c in line.split(",")])
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise ConfigError(f"{path}: data row {len(rows) + 1} has {len(cells)} "
+                                  f"values for {len(header)} columns")
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError as exc:
+                raise ConfigError(f"{path}: unreadable data row {len(rows) + 1}") from exc
     if header is None or len(rows) < 2:
         raise ConfigError(f"{path}: not a trajectory file (need header and >= 2 rows)")
     data = np.asarray(rows, dtype=float)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        raise ConfigError(f"{path}: non-finite value in data row {int(np.argmin(finite)) + 1}")
     momentum = None
     if "momentum_xi" in meta_kv or "momentum_eta" in meta_kv:
         momentum = MomentumValue(xi=np.asarray(meta_kv.get("momentum_xi", []), dtype=float),

@@ -24,7 +24,7 @@ from .ellipsoid import (
     maupertuis_speed,
     principal_section_orbits,
 )
-from .errors import NotPositiveDefinite
+from .errors import ConfigError, NotPositiveDefinite
 from .integrate import (
     IntegratorConfig,
     Trajectory,
@@ -237,36 +237,6 @@ def projection_equivalence_check(params: RigidBodyParams, r0: ReducedState,
     ]
 
 
-def conservation_check(params: RigidBodyParams, r0: ReducedState,
-                       t_end_reduced: float = 100.0, t_end_full: float = 50.0,
-                       dt: float = 1e-3, psi0: float = 0.5) -> List[CheckResult]:
-    """Energy drift of the reduced flow and momentum drift of the full flow."""
-    sys = rb_system(params)
-    f0 = MomentumValue.zero(0, 1)
-    cfg = IntegratorConfig(method="rk4", dt=dt, max_steps=10_000_000)
-
-    red = integrate_reduced(sys, f0, r0, 0.0, t_end_reduced, cfg)
-    e0 = red.meta.energy0
-    stride = max(1, red.states.shape[0] // 500)
-    drift_e = 0.0
-    for row in red.states[::stride]:
-        e = reduced_energy(sys, f0, ReducedState(q=row[:2], qdot=row[2:]))
-        drift_e = max(drift_e, abs(e - e0) / max(1.0, abs(e0)))
-
-    s0 = complete_state(sys, f0, r0, psi=[psi0])
-    full = integrate_full(sys, s0, 0.0, t_end_full, cfg)
-    drift_j = 0.0
-    for row in full.states[::stride]:
-        st = FullState(q=row[:2], x=[], psi=[row[2]], qdot=row[3:5], xdot=[],
-                       psidot=[row[5]])
-        drift_j = max(drift_j, float(np.max(np.abs(momentum_map(sys, st).as_vector()))))
-
-    return [
-        _result("reduced-energy-drift", drift_e, 1e-6, f"t={t_end_reduced}, dt={dt}"),
-        _result("full-momentum-drift", drift_j, 1e-7, f"t={t_end_full}, dt={dt}"),
-    ]
-
-
 def run_verify(params: RigidBodyParams, r0: ReducedState, t_end: float = 10.0,
                dt: float = 1e-3) -> List[CheckResult]:
     """Default verification suite for the CLI."""
@@ -342,7 +312,13 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
     sys = rb_system(params)
     f0 = MomentumValue.zero(0, 1)
     if energy_target is not None:
+        if not (np.isfinite(energy_target) and energy_target > 0):
+            raise ConfigError(f"energy_target must be positive and finite, got {energy_target}")
         e_now = reduced_energy(sys, f0, r0)
+        if not e_now > 0:
+            raise ConfigError(
+                f"energy_target rescales the seed velocity, but the seed energy is {e_now:.6g}"
+            )
         r0 = ReducedState(q=r0.q, qdot=r0.qdot * np.sqrt(energy_target / e_now))
     h = reduced_energy(sys, f0, r0)
     cd = ConformalData(h=h)

@@ -77,6 +77,24 @@ def test_csv_rejects_label_mismatch(tmp_path, rng):
         write_trajectory_csv(str(tmp_path / "x.csv"), make_trajectory(rng), ["a"])
 
 
+@pytest.mark.parametrize("row, message", [
+    (lambda cells: cells[:2] + ["nan"] + cells[3:], "non-finite"),
+    (lambda cells: ["inf"] + cells[1:], "non-finite"),
+    (lambda cells: cells[:-1], "4 values for 5 columns"),
+    (lambda cells: cells[:-1] + ["1.0x"], "unreadable"),
+], ids=["nan-state", "inf-time", "short-row", "garbage"])
+def test_csv_rejects_corrupt_rows(tmp_path, rng, row, message):
+    path = str(tmp_path / "traj.csv")
+    write_trajectory_csv(path, make_trajectory(rng), ["a", "b", "c", "d"])
+    with open(path) as handle:
+        lines = handle.read().splitlines()
+    lines[-3] = ",".join(row(lines[-3].split(",")))
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        read_trajectory_csv(path)
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -223,6 +241,26 @@ def test_cli_kolosov_refuses_energy_below_potential(tmp_path, capsys):
     code = main(["kolosov", "--config", cfg_path])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("target", [-1.0, 0.0, float("nan"), float("inf")])
+def test_config_rejects_bad_energy_target(target):
+    with pytest.raises(ConfigError, match="energy_target"):
+        parse_config(base_config(energy_target=target))
+
+
+def test_cli_kolosov_negative_energy_target_exit_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, base_config(energy_target=-1.0))
+    assert main(["kolosov", "--config", cfg_path]) == 2
+    assert "energy_target" in capsys.readouterr().err
+
+
+def test_cli_kolosov_energy_target_on_zero_velocity_seed_exit_2(tmp_path, capsys):
+    cfg = base_config(energy_target=0.5)
+    cfg["initial"]["reduced"] = {"q": [0.7, 1.1], "qdot": [0.0, 0.0]}
+    cfg_path = write_config(tmp_path, cfg)
+    assert main(["kolosov", "--config", cfg_path]) == 2
+    assert "seed energy" in capsys.readouterr().err
 
 
 def test_cli_dt_override_changes_grid(tmp_path, capsys):
