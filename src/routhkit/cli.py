@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Verbs: simulate-reduced, simulate-full, reconstruct, verify, kolosov.
-Exit codes: 0 ok, 2 configuration, 3 chart/domain, 4 consistency,
-5 convergence.  No environment variables are required.
+Exit codes: 0 ok, 4 when a check fails, otherwise the ``exit_code`` of
+the raised error class (2 configuration, 3 chart/domain, 4 consistency,
+5 convergence; see ``errors``).  No environment variables are required.
 """
 
 from __future__ import annotations
@@ -10,77 +11,28 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys as _sys
-import tempfile
 from typing import List, Optional
 
 import numpy as np
 
 from . import config as cfgmod
-from .errors import (
-    ChartBoundary,
-    ConfigError,
-    GridMismatch,
-    InvalidParams,
-    MaxStepsExceeded,
-    MomentumMismatch,
-    NoConvergence,
-    NonPositiveFactor,
-    NotPositiveDefinite,
-    OffSurface,
-    RouthkitError,
-    SingularReducedMass,
-    SpanTooShort,
-    StepFailure,
-    TangencyViolation,
-)
-from .integrate import IntegratorConfig, Trajectory, integrate_full, integrate_reduced, reconstruct
-from .reduction import FullState, ReducedState, momentum_map, reduced_energy
-from .trajectory_io import read_trajectory_csv, write_trajectory_csv
-from .verify import report_dict, run_kolosov, run_verify
+from .errors import ConfigError, RouthkitError
+from .integrate import Trajectory, integrate_full, integrate_reduced, reconstruct
+from .trajectory_io import read_trajectory_csv, write_atomic, write_trajectory_csv
+from .verify import energy_drift, momentum_drift, report_dict, run_kolosov, run_verify
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_DOMAIN = 3
 EXIT_CONSISTENCY = 4
-EXIT_CONVERGENCE = 5
-
-_EXIT_BY_ERROR = (
-    ((ConfigError, InvalidParams), EXIT_CONFIG),
-    ((ChartBoundary, NotPositiveDefinite, OffSurface, NonPositiveFactor,
-      TangencyViolation, SingularReducedMass), EXIT_DOMAIN),
-    ((MomentumMismatch, GridMismatch, SpanTooShort), EXIT_CONSISTENCY),
-    ((NoConvergence, StepFailure, MaxStepsExceeded), EXIT_CONVERGENCE),
-)
 
 TWO_PI = 2.0 * math.pi
 
 
-def _exit_code(exc: RouthkitError) -> int:
-    for types, code in _EXIT_BY_ERROR:
-        if isinstance(exc, types):
-            return code
-    return EXIT_CONFIG
-
-
 def _load(args) -> cfgmod.RunConfig:
-    cfg = cfgmod.load_config(args.config)
-    if getattr(args, "dt", None) is not None:
-        cfg.dt = float(args.dt)
-        if not cfg.dt > 0:
-            raise ConfigError("--dt must be positive")
-        cfg.integrator = IntegratorConfig(method=cfg.integrator.method, dt=cfg.dt,
-                                          abs_tol=cfg.integrator.abs_tol,
-                                          rel_tol=cfg.integrator.rel_tol,
-                                          max_steps=cfg.integrator.max_steps)
-    if getattr(args, "t_end", None) is not None:
-        cfg.t_end = float(args.t_end)
-        if not cfg.t_end > 0:
-            raise ConfigError("--t-end must be positive")
-    if getattr(args, "output", None) is not None:
-        cfg.output = args.output
-    return cfg
+    """The config file with the --dt, --t-end and --output flags laid over it."""
+    overrides = {key: getattr(args, key) for key in ("dt", "t_end", "output")
+                 if getattr(args, key) is not None}
+    return cfgmod.load_config(args.config, overrides)
 
 
 def _output_path(cfg: cfgmod.RunConfig, default: str) -> str:
@@ -95,19 +47,6 @@ def _wrap_angles(traj: Trajectory, columns: List[int]) -> Trajectory:
     return Trajectory(times=traj.times.copy(), states=states, meta=traj.meta)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle, indent=2)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def cmd_simulate_reduced(args) -> int:
     cfg = _load(args)
     system = cfgmod.build_system(cfg)
@@ -117,10 +56,8 @@ def cmd_simulate_reduced(args) -> int:
 
     e0 = traj.meta.energy0
     stride = max(1, traj.states.shape[0] // 500)
-    drift = 0.0
-    for row in traj.states[::stride]:
-        e = reduced_energy(system, f, ReducedState(q=row[:system.n], qdot=row[system.n:]))
-        drift = max(drift, abs(e - e0) / max(1.0, abs(e0)))
+    # a rest start has E0 = 0, so the drift is relative to max(1, |E0|)
+    drift = energy_drift(system, f, traj, stride) / max(1.0, abs(e0))
 
     path = _output_path(cfg, "reduced.csv")
     write_trajectory_csv(path, traj, cfgmod.state_labels(cfg, reduced=True))
@@ -137,11 +74,7 @@ def cmd_simulate_full(args) -> int:
 
     j0 = traj.meta.momentum.as_vector()
     stride = max(1, traj.states.shape[0] // 500)
-    drift = 0.0
-    for row in traj.states[::stride]:
-        st = FullState.from_vector(system, row)
-        drift = max(drift, float(np.max(np.abs(momentum_map(system, st).as_vector() - j0),
-                                        initial=0.0)))
+    drift = momentum_drift(system, traj, stride, traj.meta.momentum)
     # angle coordinates are presented wrapped into [0, 2*pi)
     angle_cols = list(range(system.n + system.k, system.dim))
     path = _output_path(cfg, "full.csv")
@@ -185,9 +118,8 @@ def cmd_verify(args) -> int:
     r0 = cfgmod.initial_reduced_state(cfg)
     results = run_verify(params, r0, t_end=cfg.t_end, dt=cfg.dt)
     ok = _print_results(results)
-    report = report_dict(results, system=cfg.system)
     path = _output_path(cfg, "verify_report.json")
-    _write_json(path, report)
+    write_atomic(path, json.dumps(report_dict(results, system=cfg.system), indent=2))
     print(("all checks passed" if ok else "some checks FAILED") + f"; report: {path}")
     return EXIT_OK if ok else EXIT_CONSISTENCY
 
@@ -218,22 +150,10 @@ def cmd_kolosov(args) -> int:
     write_trajectory_csv(traj_path, report.image_tau,
                          ["x", "y", "z", "xdot", "ydot", "zdot"])
     report_path = args.report if args.report else "kolosov_report.json"
-    payload = {
-        "schema_version": 1,
-        "system": cfg.system,
-        "h": report.h,
-        "window": report.window,
-        "sections": report.sections,
-        "lambda": report.lambda_avg,
-        "equatorial_period": report.equatorial_period,
-        "all_passed": ok,
-        "checks": [
-            {"name": r.name, "passed": r.passed, "value": r.value,
-             "tolerance": r.tolerance, "detail": r.detail}
-            for r in report.results()
-        ],
-    }
-    _write_json(report_path, payload)
+    payload = {**report_dict(report.results(), system=cfg.system),
+               "h": report.h, "window": report.window, "sections": report.sections,
+               "lambda": report.lambda_avg, "equatorial_period": report.equatorial_period}
+    write_atomic(report_path, json.dumps(payload, indent=2))
     print(f"wrote {traj_path} (rescaled-time image) and {report_path}")
     return EXIT_OK if ok else EXIT_CONSISTENCY
 
@@ -285,7 +205,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except RouthkitError as exc:
         print(f"error: {exc}", file=_sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -62,10 +62,17 @@ def _as_floats(value, name: str) -> np.ndarray:
     try:
         arr = np.asarray([] if value is None else value, dtype=float).reshape(-1)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a list of numbers, got {value!r}") from exc
+        raise ConfigError(f"{name} must be numeric, got {value!r}") from exc
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} must be finite, got {value!r}")
     return arr
+
+
+def _as_float(value, name: str) -> float:
+    """One finite number: the scalar twin of ``_as_floats``."""
+    arr = _as_floats(value, name)
+    _require(arr.size == 1, f"{name} must be one number, got {value!r}")
+    return float(arr[0])
 
 
 def _require(condition: bool, message: str) -> None:
@@ -73,8 +80,11 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def load_config(path: str) -> RunConfig:
+def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
     """Load and validate a YAML configuration file.
+
+    ``overrides`` are top-level keys that replace the file's before the
+    whole mapping is validated.
 
     Raises:
         ConfigError: unreadable file, unknown keys or values, or
@@ -89,7 +99,7 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping, got {type(raw).__name__}")
-    return parse_config(raw)
+    return parse_config({**raw, **(overrides or {})})
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -115,7 +125,7 @@ def parse_config(raw: dict) -> RunConfig:
     cfg.potential_kind = kind
     if kind != "none":
         _require("coefficient" in pot, f"potential kind {kind!r} needs a coefficient")
-        cfg.potential_coefficient = float(pot["coefficient"])
+        cfg.potential_coefficient = _as_float(pot["coefficient"], "potential.coefficient")
     _require(not (system == "rigid-body" and kind == "harmonic"),
              "harmonic potential applies to the central-force system only")
     _require(not (system == "central-force" and kind == "heavy"),
@@ -127,13 +137,12 @@ def parse_config(raw: dict) -> RunConfig:
     cfg.momentum_eta = _as_floats(mom.get("eta"), "momentum.eta")
 
     if raw.get("energy_target") is not None:
-        target = _as_floats(raw["energy_target"], "energy_target")
-        _require(target.size == 1 and target[0] > 0,
-                 f"energy_target must be one positive number, got {raw['energy_target']!r}")
-        cfg.energy_target = float(target[0])
-    cfg.t_end = float(raw.get("t_end", cfg.t_end))
+        cfg.energy_target = _as_float(raw["energy_target"], "energy_target")
+        _require(cfg.energy_target > 0,
+                 f"energy_target must be positive, got {cfg.energy_target}")
+    cfg.t_end = _as_float(raw.get("t_end", cfg.t_end), "t_end")
     _require(cfg.t_end > 0, f"t_end must be positive, got {cfg.t_end}")
-    cfg.dt = float(raw.get("dt", cfg.dt))
+    cfg.dt = _as_float(raw.get("dt", cfg.dt), "dt")
     _require(cfg.dt > 0, f"dt must be positive, got {cfg.dt}")
 
     integ = raw.get("integrator", {}) or {}
@@ -142,9 +151,9 @@ def parse_config(raw: dict) -> RunConfig:
         cfg.integrator = IntegratorConfig(
             method=integ.get("method", "rk4"),
             dt=cfg.dt,
-            abs_tol=float(integ.get("abs_tol", 1e-12)),
-            rel_tol=float(integ.get("rel_tol", 1e-12)),
-            max_steps=int(integ.get("max_steps", 2_000_000)),
+            abs_tol=_as_float(integ.get("abs_tol", 1e-12), "integrator.abs_tol"),
+            rel_tol=_as_float(integ.get("rel_tol", 1e-12), "integrator.rel_tol"),
+            max_steps=int(_as_float(integ.get("max_steps", 2_000_000), "integrator.max_steps")),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -155,12 +155,15 @@ def surface_potential_from_chart(p: RigidBodyParams,
     return potential
 
 
+def _factor_unchecked(p: RigidBodyParams, u: np.ndarray) -> float:
+    s = p.A ** 2 * u[0] ** 2 + p.B ** 2 * u[1] ** 2 + p.C ** 2 * u[2] ** 2
+    return p.A * p.B * p.C / s
+
+
 def conformal_factor(p: RigidBodyParams, u) -> float:
     """Time-change density a(u) = ABC / (A^2 x^2 + B^2 y^2 + C^2 z^2)."""
     _require_on_surface(p, u)
-    u = np.asarray(u, dtype=float)
-    s = p.A ** 2 * u[0] ** 2 + p.B ** 2 * u[1] ** 2 + p.C ** 2 * u[2] ** 2
-    return p.A * p.B * p.C / s
+    return _factor_unchecked(p, np.asarray(u, dtype=float))
 
 
 def conformal_factor_grad(p: RigidBodyParams, u) -> np.ndarray:
@@ -200,11 +203,6 @@ def project_to_surface(p: RigidBodyParams, u, udot):
     g = constraint_gradient(p, u)
     udot -= (float(g @ udot) / float(g @ g)) * g
     return u, udot
-
-
-def _factor_unchecked(p: RigidBodyParams, u: np.ndarray) -> float:
-    s = p.A ** 2 * u[0] ** 2 + p.B ** 2 * u[1] ** 2 + p.C ** 2 * u[2] ** 2
-    return p.A * p.B * p.C / s
 
 
 def _accel(p: RigidBodyParams, cd: ConformalData, u: np.ndarray, udot: np.ndarray,

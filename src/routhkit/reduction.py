@@ -255,10 +255,13 @@ def _cyclic_rates(sys: SymmetricSystem, K: np.ndarray, qdot: np.ndarray,
     return np.linalg.solve(K[n:, n:], rhs)
 
 
-def solve_cyclic(sys: SymmetricSystem, q, qdot, f: MomentumValue) -> CyclicVelocities:
-    """Cyclic velocities at fixed momentum: solve D w = (xi, eta) - Kcq qdot.
+def _complete(sys: SymmetricSystem, f: MomentumValue, q, qdot):
+    """State completed at fixed momentum from one validated metric evaluation.
 
-    Unique because D inherits positive definiteness from the full matrix.
+    Returns:
+        (q, K, v): the validated shape position, the kinetic matrix at q,
+        and the full velocity (qdot, cyclic velocities solving the
+        momentum constraint).
     """
     q = _finite_vector(q, sys.n, "q")
     qdot = _finite_vector(qdot, sys.n, "qdot")
@@ -267,7 +270,22 @@ def solve_cyclic(sys: SymmetricSystem, q, qdot, f: MomentumValue) -> CyclicVeloc
             f"momentum dimensions ({f.xi.size},{f.eta.size}) do not match "
             f"system ({sys.k},{sys.l})"
         )
-    w = _cyclic_rates(sys, evaluate_metric(sys, q), qdot, f.as_vector())
+    K = evaluate_metric(sys, q)
+    return q, K, np.concatenate([qdot, _cyclic_rates(sys, K, qdot, f.as_vector())])
+
+
+def _kinetic_potential(sys: SymmetricSystem, q, K: np.ndarray, v: np.ndarray):
+    """Kinetic energy 0.5 v.K v and potential V(q)."""
+    return 0.5 * float(v @ K @ v), float(sys.potential(q))
+
+
+def solve_cyclic(sys: SymmetricSystem, q, qdot, f: MomentumValue) -> CyclicVelocities:
+    """Cyclic velocities at fixed momentum: solve D w = (xi, eta) - Kcq qdot.
+
+    Unique because D inherits positive definiteness from the full matrix.
+    """
+    _, _, v = _complete(sys, f, q, qdot)
+    w = v[sys.n:]
     return CyclicVelocities(xdot=w[:sys.k], psidot=w[sys.k:])
 
 
@@ -282,16 +300,14 @@ def complete_state(sys: SymmetricSystem, f: MomentumValue, r: ReducedState,
 
 def lagrangian_full(sys: SymmetricSystem, s: FullState) -> float:
     """Full Lagrangian: kinetic energy minus potential."""
-    K = evaluate_metric(sys, s.q)
-    v = s.velocity()
-    return 0.5 * float(v @ K @ v) - float(sys.potential(s.q))
+    kin, pot = _kinetic_potential(sys, s.q, evaluate_metric(sys, s.q), s.velocity())
+    return kin - pot
 
 
 def energy_full(sys: SymmetricSystem, s: FullState) -> float:
     """Full energy: kinetic energy plus potential."""
-    K = evaluate_metric(sys, s.q)
-    v = s.velocity()
-    return 0.5 * float(v @ K @ v) + float(sys.potential(s.q))
+    kin, pot = _kinetic_potential(sys, s.q, evaluate_metric(sys, s.q), s.velocity())
+    return kin + pot
 
 
 def routhian(sys: SymmetricSystem, f: MomentumValue, r: ReducedState) -> float:
@@ -302,19 +318,16 @@ def routhian(sys: SymmetricSystem, f: MomentumValue, r: ReducedState) -> float:
     pairing of the momentum with the cyclic velocities.  At zero momentum
     this is exactly the full Lagrangian of the completed state.
     """
-    w = solve_cyclic(sys, r.q, r.qdot, f)
-    K = evaluate_metric(sys, r.q)
-    v = np.concatenate([r.qdot, w.as_vector()])
-    lbar = 0.5 * float(v @ K @ v) - float(sys.potential(r.q))
-    return lbar - float(f.as_vector() @ w.as_vector())
+    q, K, v = _complete(sys, f, r.q, r.qdot)
+    kin, pot = _kinetic_potential(sys, q, K, v)
+    return kin - pot - float(f.as_vector() @ v[sys.n:])
 
 
 def reduced_energy(sys: SymmetricSystem, f: MomentumValue, r: ReducedState) -> float:
     """Energy of the completed state; constant along reduced trajectories."""
-    w = solve_cyclic(sys, r.q, r.qdot, f)
-    K = evaluate_metric(sys, r.q)
-    v = np.concatenate([r.qdot, w.as_vector()])
-    return 0.5 * float(v @ K @ v) + float(sys.potential(r.q))
+    q, K, v = _complete(sys, f, r.q, r.qdot)
+    kin, pot = _kinetic_potential(sys, q, K, v)
+    return kin + pot
 
 
 def reduced_mass_matrix(sys: SymmetricSystem, q) -> np.ndarray:
@@ -417,9 +430,7 @@ def shape_momentum(sys: SymmetricSystem, f: MomentumValue, q, qdot) -> np.ndarra
     reduced symplectic form; it is evaluated directly from the full kinetic
     matrix, independently of the Schur-complement path.
     """
-    w = solve_cyclic(sys, q, qdot, f)
-    K = evaluate_metric(sys, q)
-    v = np.concatenate([qdot, w.as_vector()])
+    _, K, v = _complete(sys, f, q, qdot)
     return (K @ v)[:sys.n]
 
 
@@ -427,34 +438,19 @@ def symplectic_det_pair(sys: SymmetricSystem, f: MomentumValue, r: ReducedState)
     """Two independent evaluations of the reduced symplectic determinant.
 
     The left side assembles the 2n x 2n coordinate matrix of the reduced
-    symplectic form from central finite differences of the shape momentum
-    covector (the constrained derivative rule applied numerically); the
-    right side is (det K / det D)^2 from plain block determinants.
+    symplectic form from central finite differences (``gradient``) of the
+    shape momentum covector, the constrained derivative rule applied
+    numerically; the right side is (det K / det D)^2 from plain block
+    determinants.
 
     Returns:
         (lhs, rhs): both scalars; they agree to 1e-5 relative on interior
         states.
     """
     n = sys.n
-    q = r.q.copy()
-    qdot = r.qdot.copy()
-    c = f
-
-    A = np.empty((n, n))   # dP_a / dq_b
-    B = np.empty((n, n))   # dP_a / dqdot_b
-    for b in range(n):
-        hq = fd_step(q[b])
-        qp = q.copy()
-        qm = q.copy()
-        qp[b] += hq
-        qm[b] -= hq
-        A[:, b] = (shape_momentum(sys, c, qp, qdot) - shape_momentum(sys, c, qm, qdot)) / (2.0 * hq)
-        hv = fd_step(qdot[b])
-        vp = qdot.copy()
-        vm = qdot.copy()
-        vp[b] += hv
-        vm[b] -= hv
-        B[:, b] = (shape_momentum(sys, c, q, vp) - shape_momentum(sys, c, q, vm)) / (2.0 * hv)
+    q, qdot = r.q, r.qdot
+    A = gradient(lambda p: shape_momentum(sys, f, p, qdot), q).T     # dP_a / dq_b
+    B = gradient(lambda u: shape_momentum(sys, f, q, u), qdot).T     # dP_a / dqdot_b
 
     omega = np.zeros((2 * n, 2 * n))
     omega[:n, :n] = A - A.T

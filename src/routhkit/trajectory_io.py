@@ -20,8 +20,22 @@ from .integrate import Trajectory, TrajectoryMeta
 from .reduction import MomentumValue
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Write text atomically: a temp file in the target dir, then a rename."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_trajectory_csv(path: str, traj: Trajectory, labels: List[str]) -> None:
-    """Write a trajectory atomically (temp file + rename in the target dir)."""
+    """Write a trajectory atomically with :func:`write_atomic`."""
     if len(labels) != traj.states.shape[1]:
         raise ValueError(
             f"{len(labels)} labels for {traj.states.shape[1]} state columns"
@@ -37,18 +51,7 @@ def write_trajectory_csv(path: str, traj: Trajectory, labels: List[str]) -> None
     lines.append(",".join(["t"] + list(labels)))
     for t, row in zip(traj.times, traj.states):
         lines.append(",".join(f"{v:.17g}" for v in np.concatenate([[t], row])))
-    payload = "\n".join(lines) + "\n"
-
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_trajectory_csv(path: str) -> Tuple[Trajectory, List[str]]:

@@ -237,6 +237,32 @@ def projection_equivalence_check(params: RigidBodyParams, r0: ReducedState,
     ]
 
 
+def energy_drift(sys: SymmetricSystem, f: MomentumValue, red: Trajectory,
+                 stride: int) -> float:
+    """Largest |E - E0| over every stride-th sample of a reduced trajectory.
+
+    E is the reduced energy at momentum f and E0 the trajectory's initial
+    energy; callers pick the normalisation.
+    """
+    e0 = red.meta.energy0
+    worst = 0.0
+    for row in red.states[::stride]:
+        e = reduced_energy(sys, f, ReducedState(q=row[:sys.n], qdot=row[sys.n:]))
+        worst = max(worst, abs(e - e0))
+    return worst
+
+
+def momentum_drift(sys: SymmetricSystem, full: Trajectory, stride: int,
+                   reference: MomentumValue) -> float:
+    """Largest |J - reference| (max norm) over every stride-th full sample."""
+    ref = reference.as_vector()
+    worst = 0.0
+    for row in full.states[::stride]:
+        j = momentum_map(sys, FullState.from_vector(sys, row)).as_vector()
+        worst = max(worst, float(np.max(np.abs(j - ref), initial=0.0)))
+    return worst
+
+
 def run_verify(params: RigidBodyParams, r0: ReducedState, t_end: float = 10.0,
                dt: float = 1e-3) -> List[CheckResult]:
     """Default verification suite for the CLI."""

@@ -1,5 +1,6 @@
 """Serialization, configuration validation, CLI verbs and exit codes."""
 
+import inspect
 import json
 import os
 
@@ -13,6 +14,7 @@ from routhkit import (
     Trajectory,
     TrajectoryMeta,
 )
+from routhkit import errors
 from routhkit.cli import main
 from routhkit.config import load_config, parse_config, state_labels
 from routhkit.trajectory_io import read_trajectory_csv, write_trajectory_csv
@@ -249,6 +251,60 @@ def test_config_rejects_bad_energy_target(target):
         parse_config(base_config(energy_target=target))
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"t_end": float("inf")}, "t_end"),
+    ({"t_end": "abc"}, "t_end"),
+    ({"dt": "abc"}, "dt"),
+    ({"dt": [1, 2]}, "dt"),
+    ({"potential": {"kind": "heavy", "coefficient": "abc"}}, "potential.coefficient"),
+    ({"potential": {"kind": "heavy", "coefficient": float("nan")}}, "potential.coefficient"),
+    ({"integrator": {"method": "rk4", "max_steps": float("inf")}}, "integrator.max_steps"),
+    ({"integrator": {"method": "rk45", "abs_tol": [1, 2]}}, "integrator.abs_tol"),
+], ids=["t_end-inf", "t_end-text", "dt-text", "dt-list", "coefficient-text",
+        "coefficient-nan", "max_steps-inf", "abs_tol-list"])
+def test_config_rejects_non_numeric_scalars(tmp_path, capsys, overrides, key):
+    cfg = base_config(**overrides)
+    with pytest.raises(ConfigError, match=key):
+        parse_config(cfg)
+    assert main(["simulate-reduced", "--config", write_config(tmp_path, cfg)]) == 2
+    assert f"error: {key}" in capsys.readouterr().err
+
+
+def test_cli_t_end_flag_inf_exit_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, base_config())
+    assert main(["simulate-reduced", "--config", cfg_path, "--t-end", "inf"]) == 2
+    assert "error: t_end must be finite" in capsys.readouterr().err
+
+
+# Every error class and the exit code the CLI returns for it.
+EXIT_CODES = {
+    "RouthkitError": 2, "ConfigError": 2, "InvalidParams": 2,
+    "ChartBoundary": 3, "NotPositiveDefinite": 3, "SingularReducedMass": 3,
+    "OffSurface": 3, "TangencyViolation": 3, "NonPositiveFactor": 3,
+    "MomentumMismatch": 4, "GridMismatch": 4, "SpanTooShort": 4,
+    "StepFailure": 5, "MaxStepsExceeded": 5, "NoConvergence": 5,
+}
+
+
+def test_exit_code_table_covers_every_error_class():
+    classes = {name for name, obj in inspect.getmembers(errors, inspect.isclass)
+               if issubclass(obj, errors.RouthkitError)}
+    assert classes == set(EXIT_CODES)
+
+
+@pytest.mark.parametrize("name, code", sorted(EXIT_CODES.items()), ids=sorted(EXIT_CODES))
+def test_cli_exit_code_of_each_error_class(tmp_path, capsys, monkeypatch, name, code):
+    def failing_run(*args, **kwargs):
+        raise getattr(errors, name)("injected failure")
+
+    monkeypatch.setattr("routhkit.cli.run_verify", failing_run)
+    cfg_path = write_config(tmp_path, base_config())
+    assert main(["verify", "--config", cfg_path,
+                 "--output", str(tmp_path / "report.json")]) == code
+    assert "error: injected failure" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "report.json")
+
+
 def test_cli_kolosov_negative_energy_target_exit_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path, base_config(energy_target=-1.0))
     assert main(["kolosov", "--config", cfg_path]) == 2
@@ -287,6 +343,9 @@ def test_cli_kolosov_sphere_periods_equal(tmp_path, capsys):
     periods = [report["sections"][plane]["period"] for plane in ("x", "y", "z")]
     assert max(periods) - min(periods) < 1e-8
     assert report["all_passed"] is True
+    jsonschema = pytest.importorskip("jsonschema")
+    with open(SCHEMA_PATH) as handle:
+        jsonschema.validate(report, json.load(handle))
 
 
 def test_cli_central_force_system(tmp_path, capsys):

@@ -17,8 +17,12 @@ from routhkit import (
     harmonic_radial_potential,
     heavy_potential,
     rb_system,
+    reduced_energy,
     reduced_rhs,
     reduced_vector_field,
+    routhian,
+    shape_momentum,
+    symplectic_det_pair,
 )
 from routhkit.integrate import full_rhs
 from routhkit.reduction import gradient, metric_grad
@@ -129,6 +133,19 @@ def test_closed_form_rhs_evaluates_the_metric_once(triaxial_system, zero_momentu
     s0 = complete_state(triaxial_system, zero_momentum, generic_state)
     full_rhs(counted)(s0.to_vector())
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("evaluate, expected", [
+    (routhian, 1),
+    (reduced_energy, 1),
+    (lambda sys, f, r: shape_momentum(sys, f, r.q, r.qdot), 1),
+    (symplectic_det_pair, 4 * 2 + 1),   # 4n finite-difference probes + the determinant side
+], ids=["routhian", "reduced-energy", "shape-momentum", "symplectic-det-pair"])
+def test_completed_state_evaluates_the_metric_once(triaxial_system, zero_momentum,
+                                                   generic_state, evaluate, expected):
+    counted, calls = _count_metric(triaxial_system)
+    evaluate(counted, zero_momentum, generic_state)
+    assert len(calls) == expected
 
 
 def test_random_system_exercises_the_finite_difference_fallback(rng):
