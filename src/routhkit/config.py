@@ -59,8 +59,13 @@ class RunConfig:
 
 
 def _as_floats(value, name: str) -> np.ndarray:
+    """A number or a flat list of numbers; booleans and nested lists are refused."""
+    items = np.asarray([] if value is None else value, dtype=object)
+    _require(items.ndim <= 1 and not any(isinstance(v, (bool, np.bool_))
+                                         for v in items.reshape(-1)),
+             f"{name} must be a number or a flat list of numbers, got {value!r}")
     try:
-        arr = np.asarray([] if value is None else value, dtype=float).reshape(-1)
+        arr = items.astype(float).reshape(-1)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be numeric, got {value!r}") from exc
     if not np.all(np.isfinite(arr)):
@@ -147,13 +152,16 @@ def parse_config(raw: dict) -> RunConfig:
 
     integ = raw.get("integrator", {}) or {}
     _require(isinstance(integ, dict), "integrator must be a mapping")
+    max_steps = _as_float(integ.get("max_steps", 2_000_000), "integrator.max_steps")
+    _require(max_steps.is_integer(),
+             f"integrator.max_steps must be a whole number, got {max_steps}")
     try:
         cfg.integrator = IntegratorConfig(
             method=integ.get("method", "rk4"),
             dt=cfg.dt,
             abs_tol=_as_float(integ.get("abs_tol", 1e-12), "integrator.abs_tol"),
             rel_tol=_as_float(integ.get("rel_tol", 1e-12), "integrator.rel_tol"),
-            max_steps=int(_as_float(integ.get("max_steps", 2_000_000), "integrator.max_steps")),
+            max_steps=int(max_steps),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -192,17 +192,21 @@ def kolosov_potential_grad(p: RigidBodyParams, cd: ConformalData, u) -> np.ndarr
 def project_to_surface(p: RigidBodyParams, u, udot):
     """Project a point onto the constraint along its gradient and the
     velocity onto the tangent plane."""
-    u = np.asarray(u, dtype=float).copy()
-    udot = np.asarray(udot, dtype=float).copy()
+    A, B, C = p.A, p.B, p.C
+    x, y, z = np.asarray(u, dtype=float).tolist()
+    vx, vy, vz = np.asarray(udot, dtype=float).tolist()
     for _ in range(3):
-        res = surface_residual(p, u)
+        res = A * x * x + B * y * y + C * z * z - 1.0
         if abs(res) < 1e-15:
             break
-        g = constraint_gradient(p, u)
-        u -= res * g / float(g @ g)
-    g = constraint_gradient(p, u)
-    udot -= (float(g @ udot) / float(g @ g)) * g
-    return u, udot
+        gx, gy, gz = 2.0 * A * x, 2.0 * B * y, 2.0 * C * z
+        gn2 = gx * gx + gy * gy + gz * gz
+        x -= res * gx / gn2
+        y -= res * gy / gn2
+        z -= res * gz / gn2
+    gx, gy, gz = 2.0 * A * x, 2.0 * B * y, 2.0 * C * z
+    k = (gx * vx + gy * vy + gz * vz) / (gx * gx + gy * gy + gz * gz)
+    return np.array([x, y, z]), np.array([vx - k * gx, vy - k * gy, vz - k * gz])
 
 
 def _accel(p: RigidBodyParams, cd: ConformalData, u: np.ndarray, udot: np.ndarray,
@@ -211,27 +215,44 @@ def _accel(p: RigidBodyParams, cd: ConformalData, u: np.ndarray, udot: np.ndarra
 
     Explicit integrator stage points sit slightly off the surface, so the
     flow evaluates this formula directly; the public operation wraps it in
-    the contract checks.
+    the contract checks.  The 3-vector algebra runs on Python floats, and
+    products rather than powers let a huge state overflow to inf instead
+    of raising.
     """
-    g = constraint_gradient(p, u)
-    gn2 = float(g @ g)
+    A, B, C = p.A, p.B, p.C
+    x, y, z = u.tolist()
+    vx, vy, vz = udot.tolist()
+    abc = A * B * C
+    gx, gy, gz = 2.0 * A * x, 2.0 * B * y, 2.0 * C * z
+    # conformal factor a = abc / s and its gradient c * (ex, ey, ez)
+    ex, ey, ez = A * A * x, B * B * y, C * C * z
+    s = ex * x + ey * y + ez * z
+    factor = abc / s
+    c = -2.0 * factor * factor / abc
+    free = cd.potential is None
+    fx, fy, fz = (0.0, 0.0, 0.0) if free else cd.grad(u).tolist()
     if physical_time:
-        a = _factor_unchecked(p, u)
-        ga = conformal_factor_grad(p, u)
-        gu = cd.grad(u)
+        # w = T grad(a) - (grad(a) . udot) udot - grad(V)
+        a, inv_a = factor, s / abc
+        kinetic = 0.5 * (vx * vx + vy * vy + vz * vz)
+        dax, day, daz = c * ex, c * ey, c * ez
+        dav = dax * vx + day * vy + daz * vz
+        wx = kinetic * dax - dav * vx - fx
+        wy = kinetic * day - dav * vy - fy
+        wz = kinetic * daz - dav * vz - fz
     else:
-        a = 1.0
-        ga = np.zeros(3)
-        gu = conformal_factor_grad(p, u) * (cd.value(u) - cd.h) \
-            + _factor_unchecked(p, u) * cd.grad(u)
+        # w = -grad(a (V - h))
+        a, inv_a = 1.0, 1.0
+        dv = (-cd.h if free else cd.value(u) - cd.h) * c
+        wx = -(dv * ex + factor * fx)
+        wy = -(dv * ey + factor * fy)
+        wz = -(dv * ez + factor * fz)
 
-    kinetic = 0.5 * float(udot @ udot)
-    w = kinetic * ga - float(ga @ udot) * udot - gu
     # second derivative of the constraint: g . uddot + udot^T Hess(Phi) udot = 0
-    hess_term = 2.0 * float(p.A * udot[0] ** 2 + p.B * udot[1] ** 2 + p.C * udot[2] ** 2)
-    lam = -(a * hess_term + float(g @ w)) / gn2
-    uddot = (w + lam * g) / a
-    return uddot, lam
+    hess_term = 2.0 * (A * vx * vx + B * vy * vy + C * vz * vz)
+    lam = -(a * hess_term + gx * wx + gy * wy + gz * wz) / (gx * gx + gy * gy + gz * gz)
+    return np.array([(wx + lam * gx) * inv_a, (wy + lam * gy) * inv_a,
+                     (wz + lam * gz) * inv_a]), lam
 
 
 def constrained_rhs(p: RigidBodyParams, cd: ConformalData, s: EllipsoidState,
@@ -276,8 +297,10 @@ def conformal_energy(p: RigidBodyParams, cd: ConformalData, s: EllipsoidState,
 
 def _flow_rhs(p: RigidBodyParams, cd: ConformalData, physical_time: bool = False):
     def rhs(y: np.ndarray) -> np.ndarray:
-        uddot, _ = _accel(p, cd, y[:3], y[3:], physical_time)
-        return np.concatenate([y[3:], uddot])
+        out = np.empty(6)
+        out[:3] = y[3:]
+        out[3:], _ = _accel(p, cd, y[:3], y[3:], physical_time)
+        return out
 
     return rhs
 
@@ -339,7 +362,12 @@ def _max_potential(p: RigidBodyParams, cd: ConformalData, samples: int = 4096) -
 
 
 def require_energy_above_potential(p: RigidBodyParams, cd: ConformalData) -> None:
-    """Refuse configurations violating the geodesic precondition h > max V."""
+    """Refuse configurations violating the geodesic precondition h > max V.
+
+    max V is the largest potential value on a 64 x 64 grid of chart points
+    (phi, theta), so the check is a sample, not a bound: a potential that
+    peaks between grid points can pass with h below its true maximum.
+    """
     vmax = _max_potential(p, cd)
     if not cd.h > vmax:
         raise InvalidParams(

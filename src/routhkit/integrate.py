@@ -120,33 +120,30 @@ def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    [],
-    [1 / 5],
-    [3 / 40, 9 / 40],
-    [44 / 45, -56 / 15, 32 / 9],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-]
+# Dormand-Prince 5(4) tableau: stage matrix (row i feeds stage i), the
+# fifth-order weights and the error weights b5 - b4.
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
+_DP_E = _DP_B5 - _DP_B4
 
 
 def _dp_step(rhs, y, h, k1):
     """One Dormand-Prince trial step; returns (y5, error_vector, k_last)."""
-    k = [k1]
+    k = np.empty((7, y.size))
+    k[0] = k1
     for i in range(1, 7):
-        acc = np.zeros_like(y)
-        for j, a in enumerate(_DP_A[i]):
-            acc += a * k[j]
-        k.append(rhs(y + h * acc))
-    y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k))
-    y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k))
-    return y5, y5 - y4, k[-1]
+        k[i] = rhs(y + h * (_DP_A[i, :i] @ k[:i]))
+    return y + h * (_DP_B5 @ k), h * (_DP_E @ k), k[6]
 
 
 def integrate_ode(rhs: Callable[[np.ndarray], np.ndarray], s0, t0: float, t1: float,
@@ -167,7 +164,8 @@ def integrate_ode(rhs: Callable[[np.ndarray], np.ndarray], s0, t0: float, t1: fl
         MaxStepsExceeded: step budget exhausted.
     """
     y = np.asarray(s0, dtype=float).copy()
-    if not np.all(np.isfinite(rhs(y))):
+    k1 = rhs(y)
+    if not np.all(np.isfinite(k1)):
         raise StepFailure("non-finite derivative at the initial state")
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
@@ -196,7 +194,6 @@ def integrate_ode(rhs: Callable[[np.ndarray], np.ndarray], s0, t0: float, t1: fl
     h = min(cfg.dt, t1 - t0)
     times = [t0]
     states = [y.copy()]
-    k1 = rhs(y)
     steps = 0
     h_min = 1e-14 * max(1.0, abs(t1 - t0))
     while t < t1 - 1e-14 * max(1.0, abs(t1)):

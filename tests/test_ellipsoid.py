@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routhkit import (
     ConformalData,
@@ -10,12 +12,14 @@ from routhkit import (
     InvalidParams,
     OffSurface,
     RigidBodyParams,
+    StepFailure,
     conformal_energy,
     conformal_factor,
     conformal_factor_grad,
     constrained_flow,
     constrained_rhs,
     dsigma_length,
+    integrate_ode,
     kolosov_angles,
     kolosov_map,
     kolosov_potential,
@@ -26,7 +30,13 @@ from routhkit import (
     section_seed,
     surface_residual,
 )
-from routhkit.ellipsoid import TangencyViolation
+from routhkit.ellipsoid import (
+    TangencyViolation,
+    _accel,
+    _factor_unchecked,
+    _flow_rhs,
+    constraint_gradient,
+)
 
 
 def closed_form_section_period(p, h, plane):
@@ -343,3 +353,146 @@ def test_sections_unit_energy_regression_anchors(triaxial):
     assert orbits["x"].period == pytest.approx(1.8512012242326523, abs=1e-9)
     assert orbits["y"].period == pytest.approx(2.0943951023931953, abs=1e-9)
     assert orbits["z"].period == pytest.approx(1.9238247452427963, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# scalar kernels against the vector formulas they replace
+
+
+def accel_oracle(p, cd, u, udot, physical_time):
+    """The constrained acceleration written with 3-vector numpy algebra.
+
+    Returns (uddot, lam) and the sizes of the terms summed into each, the
+    scales against which rounding differences are measured.
+    """
+    g = constraint_gradient(p, u)
+    gn2 = float(g @ g)
+    if physical_time:
+        a = _factor_unchecked(p, u)
+        ga = conformal_factor_grad(p, u)
+        gu = cd.grad(u)
+    else:
+        a = 1.0
+        ga = np.zeros(3)
+        gu = conformal_factor_grad(p, u) * (cd.value(u) - cd.h) \
+            + _factor_unchecked(p, u) * cd.grad(u)
+    kinetic = 0.5 * float(udot @ udot)
+    w = kinetic * ga - float(ga @ udot) * udot - gu
+    hess_term = 2.0 * float(p.A * udot[0] ** 2 + p.B * udot[1] ** 2 + p.C * udot[2] ** 2)
+    lam = -(a * hess_term + float(g @ w)) / gn2
+    lam_scale = (abs(a * hess_term) + float(np.abs(g) @ np.abs(w))) / gn2
+    uddot_scale = (np.linalg.norm(w) + abs(lam) * np.linalg.norm(g)) / a
+    return (w + lam * g) / a, lam, uddot_scale, lam_scale
+
+
+def project_oracle(p, u, udot):
+    """Surface projection written with 3-vector numpy algebra."""
+    u = np.asarray(u, dtype=float).copy()
+    udot = np.asarray(udot, dtype=float).copy()
+    for _ in range(3):
+        res = surface_residual(p, u)
+        if abs(res) < 1e-15:
+            break
+        g = constraint_gradient(p, u)
+        u -= res * g / float(g @ g)
+    g = constraint_gradient(p, u)
+    udot -= (float(g @ udot) / float(g @ g)) * g
+    return u, udot
+
+
+def tilted_potential(u):
+    return 0.3 * u[0] - 0.2 * u[1] * u[2] + 0.1 * u[2] ** 2
+
+
+def tilted_potential_grad(u):
+    return np.array([0.3, -0.2 * u[2], -0.2 * u[1] + 0.2 * u[2]])
+
+
+POTENTIALS = {
+    "free": lambda h: ConformalData(h=h),
+    "analytic-grad": lambda h: ConformalData(h=h, potential=tilted_potential,
+                                             potential_grad=tilted_potential_grad),
+    "finite-difference-grad": lambda h: ConformalData(h=h, potential=tilted_potential),
+}
+
+# moments in [1, 2) times a common scale always meet the triangle inequality
+moment = st.floats(1.0, 1.99)
+angle = st.floats(-np.pi, np.pi)
+component = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def near_surface_states(draw, max_offset):
+    """Body, a point within ``max_offset`` of the surface (relative), and a
+    velocity whose normal part is at most ``max_offset`` of its size."""
+    scale = draw(st.floats(0.3, 3.0))
+    p = RigidBodyParams(scale * draw(moment), scale * draw(moment), scale * draw(moment))
+    phi, theta = draw(angle), draw(st.floats(0.05, np.pi - 0.05))
+    u = kolosov_map(p, phi, theta) * (1.0 + draw(st.floats(-max_offset, max_offset)))
+    v = np.array([draw(component), draw(component), draw(component)])
+    g = np.array([p.A * u[0], p.B * u[1], p.C * u[2]])
+    v_tan = v - (g @ v) / (g @ g) * g
+    normal = draw(st.floats(-max_offset, max_offset)) * np.linalg.norm(v)
+    return p, u, v_tan + normal * g / np.linalg.norm(g)
+
+
+def assert_close_rel(actual, expected, scale=None, rel=1e-12):
+    """Agreement to ``rel`` of ``scale``, by default the expected norm."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    scale = np.linalg.norm(expected) if scale is None else scale
+    assert np.linalg.norm(actual - expected) <= rel * scale, (actual, expected)
+
+
+@pytest.mark.parametrize("kind", sorted(POTENTIALS))
+@pytest.mark.parametrize("physical_time", [False, True], ids=["rescaled", "physical"])
+@settings(max_examples=150, deadline=None)
+@given(state=st.one_of(near_surface_states(0.0), near_surface_states(1e-6)),
+       h=st.floats(0.2, 5.0))
+def test_accel_matches_vector_formula(kind, physical_time, state, h):
+    p, u, udot = state
+    cd = POTENTIALS[kind](h)
+    uddot, lam = _accel(p, cd, u, udot, physical_time)
+    uddot_ref, lam_ref, uddot_scale, lam_scale = accel_oracle(p, cd, u, udot, physical_time)
+    assert_close_rel(uddot, uddot_ref, uddot_scale)
+    assert_close_rel(lam, lam_ref, lam_scale)
+    y = np.concatenate([u, udot])
+    assert np.array_equal(_flow_rhs(p, cd, physical_time)(y), np.concatenate([udot, uddot]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=st.one_of(near_surface_states(0.0), near_surface_states(1e-6),
+                       near_surface_states(1e-2)))
+def test_projection_matches_vector_algorithm(state):
+    p, u, udot = state
+    u_new, udot_new = project_to_surface(p, u, udot)
+    u_ref, udot_ref = project_oracle(p, u, udot)
+    assert_close_rel(u_new, u_ref)
+    # the tangent part is udot minus its normal part, both at most |udot|
+    assert_close_rel(udot_new, udot_ref, np.linalg.norm(udot))
+
+
+@pytest.mark.parametrize("kind", ["free", "analytic-grad"])
+@pytest.mark.parametrize("physical_time", [False, True], ids=["rescaled", "physical"])
+@settings(max_examples=50, deadline=None)
+@given(state=near_surface_states(0.0), slot=st.integers(0, 5),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_non_finite_state_gives_non_finite_rhs(kind, physical_time, state, slot, bad):
+    p, u, udot = state
+    y = np.concatenate([u, udot])
+    y[slot] = bad
+    rhs = _flow_rhs(p, POTENTIALS[kind](0.7), physical_time)
+    assert not np.all(np.isfinite(rhs(y)))
+    with pytest.raises(StepFailure):
+        integrate_ode(rhs, y, 0.0, 1.0, IntegratorConfig(method="rk45", dt=1e-2))
+
+
+@pytest.mark.parametrize("physical_time", [False, True], ids=["rescaled", "physical"])
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+def test_huge_state_overflows_without_raising(triaxial, physical_time, scale):
+    rhs = _flow_rhs(triaxial, ConformalData(h=0.7), physical_time)
+    for y in (np.array([scale, 0.5 * scale, 0.0, 1.0, 0.0, 0.0]),
+              np.array([0.5, 0.0, 0.1, scale, -scale, scale])):
+        out = rhs(y)
+        assert out.shape == (6,)
+    u, udot = project_to_surface(triaxial, [scale, 0.0, 0.0], [1.0, 2.0, 3.0])
+    assert u.shape == udot.shape == (3,)

@@ -338,3 +338,91 @@ def test_trajectory_requires_increasing_times():
 def test_trajectory_requires_matching_lengths():
     with pytest.raises(ValueError):
         Trajectory(times=[0.0, 1.0, 2.0], states=np.zeros((2, 1)))
+
+
+# Dormand-Prince 5(4) tableau written out stage by stage.
+DP_A = [
+    [],
+    [1 / 5],
+    [3 / 40, 9 / 40],
+    [44 / 45, -56 / 15, 32 / 9],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+]
+DP_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+DP_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+
+
+def test_dp_step_matches_explicit_tableau_sums():
+    from routhkit.integrate import _dp_step
+    M = np.array([[0.1, 1.0, -0.3], [-1.0, 0.2, 0.5], [0.4, -0.6, -0.2]])
+
+    def rhs(y):
+        return M @ y
+
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        y = rng.normal(size=3)
+        h = rng.uniform(1e-3, 0.5)
+        k = [rhs(y)]
+        for row in DP_A[1:]:
+            k.append(rhs(y + h * sum(a * kj for a, kj in zip(row, k))))
+        y5 = y + h * sum(b * ki for b, ki in zip(DP_B5, k))
+        y4 = y + h * sum(b * ki for b, ki in zip(DP_B4, k))
+        got_y5, got_err, k_last = _dp_step(rhs, y, h, k[0])
+        scale = np.linalg.norm(y) + h * sum((abs(b5) + abs(b4)) * np.linalg.norm(ki)
+                                            for b5, b4, ki in zip(DP_B5, DP_B4, k))
+        assert np.max(np.abs(got_y5 - y5)) <= 1e-15 * scale
+        assert np.max(np.abs(got_err - (y5 - y4))) <= 1e-15 * scale
+        # the last stage sits at the rounded stage point; |M| < 2
+        assert np.max(np.abs(k_last - k[6])) <= 2e-15 * scale
+
+
+def count_dp_trials(monkeypatch):
+    """Count the DP45 trial steps that ``integrate_ode`` takes."""
+    from routhkit import integrate as integ
+    step = integ._dp_step
+    trials = [0]
+
+    def counted(*args):
+        trials[0] += 1
+        return step(*args)
+
+    monkeypatch.setattr(integ, "_dp_step", counted)
+    return trials
+
+
+@pytest.mark.parametrize("dt, tol, t1, accepted, trials", [
+    (0.1, 1e-12, TWO_PI, 369, 371),
+    (0.02, 1e-10, 5.0, 118, 118),
+], ids=["accuracy-run", "determinism-run"])
+def test_rk45_oscillator_step_counts(monkeypatch, dt, tol, t1, accepted, trials):
+    # the two oscillator DP45 runs above, with their step counts pinned
+    counted = count_dp_trials(monkeypatch)
+    cfg = IntegratorConfig(method="rk45", dt=dt, abs_tol=tol, rel_tol=tol)
+    traj = integrate_ode(osc_rhs, [1.0, 0.0], 0.0, t1, cfg)
+    assert traj.times.size - 1 == accepted
+    assert counted[0] == trials
+
+
+@pytest.mark.parametrize("projected", [False, True], ids=["plain", "projected"])
+def test_rk45_rhs_evaluations(monkeypatch, projected):
+    # 1 initial evaluation (also the first stage), 6 per trial, and with a
+    # projection one re-evaluation per accepted step
+    trials = count_dp_trials(monkeypatch)
+    rhs_calls = [0]
+
+    def rhs(y):
+        rhs_calls[0] += 1
+        return osc_rhs(y)
+
+    def project(y):
+        return y / np.linalg.norm(y)
+
+    cfg = IntegratorConfig(method="rk45", dt=0.1, abs_tol=1e-10, rel_tol=1e-10)
+    traj = integrate_ode(rhs, [1.0, 0.0], 0.0, 3.0, cfg,
+                         project=project if projected else None)
+    accepted = traj.times.size - 1
+    assert trials[0] >= accepted > 0
+    assert rhs_calls[0] == 1 + 6 * trials[0] + (accepted if projected else 0)

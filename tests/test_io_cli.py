@@ -270,6 +270,27 @@ def test_config_rejects_non_numeric_scalars(tmp_path, capsys, overrides, key):
     assert f"error: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"dt": True}, "dt"),
+    ({"t_end": [[2.0]]}, "t_end"),
+    ({"momentum": {"xi": [], "eta": [False]}}, "momentum.eta"),
+    ({"integrator": {"method": "rk4", "max_steps": 2.5}}, "integrator.max_steps"),
+    ({"integrator": {"method": "rk4", "max_steps": 0.5}}, "integrator.max_steps"),
+], ids=["dt-bool", "t_end-nested", "eta-bool", "max_steps-2.5", "max_steps-0.5"])
+def test_config_rejects_booleans_nested_lists_and_fractional_steps(tmp_path, capsys,
+                                                                   overrides, key):
+    cfg = base_config(**overrides)
+    with pytest.raises(ConfigError, match=key):
+        parse_config(cfg)
+    assert main(["simulate-reduced", "--config", write_config(tmp_path, cfg)]) == 2
+    assert f"error: {key}" in capsys.readouterr().err
+
+
+def test_config_accepts_whole_number_max_steps():
+    cfg = parse_config(base_config(integrator={"method": "rk4", "max_steps": 5000.0}))
+    assert cfg.integrator.max_steps == 5000
+
+
 def test_cli_t_end_flag_inf_exit_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path, base_config())
     assert main(["simulate-reduced", "--config", cfg_path, "--t-end", "inf"]) == 2
