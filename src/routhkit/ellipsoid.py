@@ -97,10 +97,13 @@ class ConformalData:
         return gradient(self.potential, u)
 
 
+def _residual_unchecked(p: RigidBodyParams, u):
+    return p.A * u[0] ** 2 + p.B * u[1] ** 2 + p.C * u[2] ** 2 - 1.0
+
+
 def surface_residual(p: RigidBodyParams, u) -> float:
     """Constraint value A x^2 + B y^2 + C z^2 - 1."""
-    u = np.asarray(u, dtype=float)
-    return float(p.A * u[0] ** 2 + p.B * u[1] ** 2 + p.C * u[2] ** 2 - 1.0)
+    return float(_residual_unchecked(p, np.asarray(u, dtype=float)))
 
 
 def _require_on_surface(p: RigidBodyParams, u) -> None:
@@ -381,35 +384,44 @@ def section_seed(p: RigidBodyParams, cd: ConformalData, plane: str):
 
     The seed sits on the principal ellipse of the section with an in-plane
     velocity matching the zero-energy relation; the period guess is the
-    arclength-over-speed quadrature around the ellipse.
+    arclength-over-speed quadrature around the ellipse, evaluated on the
+    whole 4001-point grid at once.
+
+    Raises:
+        OffSurface: a grid point misses the constraint beyond tolerance.
+        InvalidParams: the energy does not exceed the potential somewhere
+            on the ellipse, so the zero-energy speed is not real.
     """
     if plane not in _SECTION_AXES:
         raise ValueError(f"plane must be one of x, y, z, got {plane!r}")
-    moments = np.array([p.A, p.B, p.C])
+    moments = (p.A, p.B, p.C)
     i, j = _SECTION_PLANE[plane]
+    ri, rj = math.sqrt(moments[i]), math.sqrt(moments[j])
 
-    def ellipse_point(alpha: float) -> np.ndarray:
-        u = np.zeros(3)
-        u[i] = math.cos(alpha) / math.sqrt(moments[i])
-        u[j] = math.sin(alpha) / math.sqrt(moments[j])
-        return u
+    alpha = np.linspace(0.0, 2.0 * math.pi, 4001)
+    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
+    u = np.zeros((3, alpha.size))  # one grid point per column
+    u[i] = cos_a / ri
+    u[j] = sin_a / rj
+    res = float(np.abs(_residual_unchecked(p, u)).max())
+    if not res <= SURFACE_TOL:
+        raise OffSurface(f"constraint residual {res:.3e} exceeds {SURFACE_TOL:.1e}")
+    if cd.potential is None:
+        margin = np.full(alpha.size, cd.h)
+    else:
+        margin = cd.h - np.array([cd.value(point) for point in u.T])
+    if not (margin > 0.0).all():
+        raise InvalidParams(
+            f"energy constant h={cd.h:.6g} does not exceed V on the {plane}-section "
+            "ellipse"
+        )
+    speed = np.sqrt(2.0 * _factor_unchecked(p, u) * margin)
+    darc = np.hypot(sin_a / ri, cos_a / rj)
+    T_guess = float(cumulative_quadrature(alpha, darc / speed)[-1])
 
-    def speed(u: np.ndarray) -> float:
-        return math.sqrt(2.0 * conformal_factor(p, u) * (cd.h - cd.value(u)))
-
-    grid = np.linspace(0.0, 2.0 * math.pi, 4001)
-    integrand = np.empty(grid.size)
-    for idx, alpha in enumerate(grid):
-        u = ellipse_point(alpha)
-        darc = math.hypot(math.sin(alpha) / math.sqrt(moments[i]),
-                          math.cos(alpha) / math.sqrt(moments[j]))
-        integrand[idx] = darc / speed(u)
-    T_guess = float(cumulative_quadrature(grid, integrand)[-1])
-
-    u0 = ellipse_point(0.0)
     udot0 = np.zeros(3)
-    udot0[j] = speed(u0)
-    return np.concatenate([u0, udot0]), T_guess
+    udot0[j] = speed[0]
+    return np.concatenate([u[:, 0], udot0]), T_guess
 
 
 def principal_section_orbits(p: RigidBodyParams, cd: ConformalData,

@@ -165,7 +165,7 @@ def integrate_ode(rhs: Callable[[np.ndarray], np.ndarray], s0, t0: float, t1: fl
     """
     y = np.asarray(s0, dtype=float).copy()
     k1 = rhs(y)
-    if not np.all(np.isfinite(k1)):
+    if not np.isfinite(k1).all():
         raise StepFailure("non-finite derivative at the initial state")
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
@@ -184,7 +184,7 @@ def integrate_ode(rhs: Callable[[np.ndarray], np.ndarray], s0, t0: float, t1: fl
             y = _rk4_step(rhs, y, h)
             if project is not None:
                 y = project(y)
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise StepFailure(f"non-finite state at t={times[i + 1]:.6g}")
             states[i + 1] = y
         return Trajectory(times=times, states=states)
@@ -203,10 +203,11 @@ def integrate_ode(rhs: Callable[[np.ndarray], np.ndarray], s0, t0: float, t1: fl
         if h < h_min:
             raise StepFailure(f"step size underflow at t={t:.6g}")
         y_new, err, k_last = _dp_step(rhs, y, h, k1)
-        if not np.all(np.isfinite(y_new)):
+        if not np.isfinite(y_new).all():
             raise StepFailure(f"non-finite state at t={t:.6g}")
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        r = err / scale
+        err_norm = math.sqrt(float((r * r).sum()) / r.size)
         if err_norm <= 1.0:
             t = t + h
             y = y_new
@@ -303,48 +304,52 @@ def integrate_reduced(sys: SymmetricSystem, f: MomentumValue, r0: ReducedState,
     return traj
 
 
-def _pair_weights(a: float, b: float):
-    """Integrals of the Lagrange basis over [0, a] and [0, b] for nodes 0, a, b."""
-
-    def basis_integrals(X: float):
-        i0 = (X ** 3 / 3.0 - (a + b) * X ** 2 / 2.0 + a * b * X) / (a * b)
-        i1 = (X ** 3 / 3.0 - b * X ** 2 / 2.0) / (a * (a - b))
-        i2 = (X ** 3 / 3.0 - a * X ** 2 / 2.0) / (b * (b - a))
-        return np.array([i0, i1, i2])
-
-    return basis_integrals(a), basis_integrals(b)
-
-
 def cumulative_quadrature(times, values) -> np.ndarray:
     """Cumulative integral of sampled values on the sample grid.
 
     Quadratic (Simpson-type) rule on consecutive interval pairs, with a
     trapezoid rule on a trailing unpaired interval; grids may be
     non-uniform.  ``values`` may be 1-D or (m, p) column-stacked.
+
+    Grid contract: ``times`` is a 1-D array of at least two finite,
+    strictly increasing samples, and ``values`` has one row per sample.
+
+    Raises:
+        ValueError: the grid breaks the contract or ``values`` does not
+            align with it.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(values, dtype=float)
     if t.ndim != 1 or t.size < 2:
         raise ValueError("need at least two samples")
+    if not np.isfinite(t).all():
+        raise ValueError("times must be finite")
+    if not (t[1:] > t[:-1]).all():
+        raise ValueError("times must be strictly increasing")
     if y.shape[0] != t.size:
         raise ValueError("values must align with times")
     out = np.zeros_like(y)
-    m = t.size
-    i = 0
-    while i + 2 <= m - 1:
-        a = t[i + 1] - t[i]
-        b = t[i + 2] - t[i]
-        wa, wb = _pair_weights(a, b)
-        seg = y[i:i + 3]
-        inc_half = np.tensordot(wa, seg, axes=(0, 0))
-        inc_full = np.tensordot(wb, seg, axes=(0, 0))
-        out[i + 1] = out[i] + inc_half
-        out[i + 2] = out[i] + inc_full
-        i += 2
-    if i == m - 2:
+    last = 2 * ((t.size - 1) // 2)  # index of the last sample closing a pair
+    # Integrals of the Lagrange basis on nodes 0, a, b over [0, a] (half
+    # pair) and [0, b] (full pair), one entry per pair.
+    t0 = t[:last:2]
+    a = t[1:last:2] - t0
+    b = t[2:last + 1:2] - t0
+    shape = (-1,) + (1,) * (y.ndim - 1)
+
+    def increment(X):
+        i0 = (X ** 3 / 3.0 - (a + b) * X ** 2 / 2.0 + a * b * X) / (a * b)
+        i1 = (X ** 3 / 3.0 - b * X ** 2 / 2.0) / (a * (a - b))
+        i2 = (X ** 3 / 3.0 - a * X ** 2 / 2.0) / (b * (b - a))
+        return (i0.reshape(shape) * y[:last:2] + i1.reshape(shape) * y[1:last:2]
+                + i2.reshape(shape) * y[2:last + 1:2])
+
+    np.cumsum(increment(b), axis=0, out=out[2:last + 1:2])
+    out[1:last:2] = out[:last:2] + increment(a)
+    if last == t.size - 2:
         # trailing odd interval
-        h = t[i + 1] - t[i]
-        out[i + 1] = out[i] + 0.5 * h * (y[i] + y[i + 1])
+        h = t[-1] - t[-2]
+        out[-1] = out[-2] + 0.5 * h * (y[-2] + y[-1])
     return out
 
 
@@ -395,13 +400,15 @@ def reparametrize_time(traj: Trajectory, factor: Callable[[np.ndarray], float]) 
     reconstruction.
 
     Raises:
-        NonPositiveFactor: factor is not strictly positive at a sample.
+        NonPositiveFactor: factor is not finite and strictly positive at a
+            sample.
     """
     vals = np.array([float(factor(s)) for s in traj.states])
-    if np.any(vals <= 0.0):
-        bad = int(np.argmax(vals <= 0.0))
+    bad = ~(np.isfinite(vals) & (vals > 0.0))
+    if bad.any():
+        k = int(np.argmax(bad))
         raise NonPositiveFactor(
-            f"time-change factor {vals[bad]:.6g} at sample {bad} is not positive"
+            f"time-change factor {vals[k]:.6g} at sample {k} is not positive and finite"
         )
     tau = cumulative_quadrature(traj.times, 1.0 / vals)
     return Trajectory(times=tau, states=traj.states.copy(),

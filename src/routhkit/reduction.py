@@ -210,8 +210,8 @@ def evaluate_metric(sys: SymmetricSystem, q) -> np.ndarray:
     """
     q = np.asarray(q, dtype=float)
     K = _metric_raw(sys, q)
-    scale = max(1.0, float(np.max(np.abs(K))))
-    defect = float(np.max(np.abs(K - K.T)))
+    scale = max(1.0, float(np.abs(K).max()))
+    defect = float(np.abs(K - K.T).max())
     if defect > SYMMETRY_TOL * scale:
         raise NotPositiveDefinite(
             f"kinetic matrix asymmetric: |K - K^T| = {defect:.3e} exceeds "

@@ -171,7 +171,8 @@ def lambda_average(times, psidot_samples, T: float) -> float:
     angle satisfies psi(T) - psi(0) = lambda * T up to quadrature error.
 
     Raises:
-        GridMismatch: samples do not cover exactly [0, T].
+        GridMismatch: samples do not cover exactly [0, T], or the times are
+            not finite and strictly increasing.
     """
     t = np.asarray(times, dtype=float)
     vals = np.asarray(psidot_samples, dtype=float)
@@ -181,7 +182,11 @@ def lambda_average(times, psidot_samples, T: float) -> float:
         raise GridMismatch(
             f"samples span [{t[0]:.6g}, {t[-1]:.6g}], expected [0, {T:.6g}]"
         )
-    return float(cumulative_quadrature(t, vals)[-1]) / T
+    try:
+        integral = cumulative_quadrature(t, vals)[-1]
+    except ValueError as exc:
+        raise GridMismatch(str(exc)) from exc
+    return float(integral) / T
 
 
 def _angle_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:

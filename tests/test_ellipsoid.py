@@ -18,6 +18,7 @@ from routhkit import (
     conformal_factor_grad,
     constrained_flow,
     constrained_rhs,
+    cumulative_quadrature,
     dsigma_length,
     integrate_ode,
     kolosov_angles,
@@ -285,6 +286,45 @@ def test_seed_period_guess_matches_closed_form(triaxial):
         _, T_guess = section_seed(triaxial, cd, plane)
         assert T_guess == pytest.approx(
             closed_form_section_period(triaxial, 0.8, plane), rel=1e-12)
+
+
+def scalar_section_seed(p, cd, plane):
+    """Section seed one grid point at a time, through the public scalar
+    factor and potential."""
+    i, j = {"z": (0, 1), "y": (0, 2), "x": (1, 2)}[plane]
+    ri, rj = np.sqrt((p.A, p.B, p.C)[i]), np.sqrt((p.A, p.B, p.C)[j])
+
+    def point(alpha):
+        u = np.zeros(3)
+        u[i], u[j] = np.cos(alpha) / ri, np.sin(alpha) / rj
+        return u
+
+    def speed(u):
+        return np.sqrt(2.0 * conformal_factor(p, u) * (cd.h - cd.value(u)))
+
+    grid = np.linspace(0.0, 2.0 * np.pi, 4001)
+    integrand = [np.hypot(np.sin(a) / ri, np.cos(a) / rj) / speed(point(a)) for a in grid]
+    udot0 = np.zeros(3)
+    udot0[j] = speed(point(0.0))
+    return np.concatenate([point(0.0), udot0]), cumulative_quadrature(grid, integrand)[-1]
+
+
+@pytest.mark.parametrize("kind", ["free", "analytic-grad"])
+@pytest.mark.parametrize("plane", ["x", "y", "z"])
+def test_seed_matches_scalar_loop(triaxial, kind, plane):
+    cd = POTENTIALS[kind](2.0)
+    seed, T_guess = section_seed(triaxial, cd, plane)
+    seed_ref, T_ref = scalar_section_seed(triaxial, cd, plane)
+    assert np.allclose(seed, seed_ref, rtol=1e-14, atol=0.0)
+    assert T_guess == pytest.approx(T_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("potential", [None, lambda u: 10.0 * u[0] ** 2],
+                         ids=["zero-energy", "potential-above-h"])
+def test_seed_refuses_energy_not_above_potential(triaxial, potential):
+    cd = ConformalData(h=0.0 if potential is None else 0.5, potential=potential)
+    with pytest.raises(InvalidParams):
+        section_seed(triaxial, cd, "z")
 
 
 def test_sections_triaxial_periods_and_closure(triaxial):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routhkit import (
     FullState,
@@ -133,6 +135,66 @@ def test_quadrature_columns():
     out = cumulative_quadrature(t, vals)
     assert out[-1, 0] == pytest.approx(0.5, abs=1e-14)
     assert out[-1, 1] == pytest.approx(1.0 / 3.0, abs=1e-13)
+
+
+def pairwise_quadrature_oracle(t, y):
+    """The quadrature rule one interval pair at a time: cumulative integrals
+    and, alongside, the running sum of |weight * value| as an error scale."""
+    out = np.zeros_like(y)
+    scale = np.zeros_like(y)
+    i = 0
+    while i + 2 <= t.size - 1:
+        a = t[i + 1] - t[i]
+        b = t[i + 2] - t[i]
+        seg = y[i:i + 3]
+        for row, X in ((i + 1, a), (i + 2, b)):
+            w = np.array([
+                (X ** 3 / 3.0 - (a + b) * X ** 2 / 2.0 + a * b * X) / (a * b),
+                (X ** 3 / 3.0 - b * X ** 2 / 2.0) / (a * (a - b)),
+                (X ** 3 / 3.0 - a * X ** 2 / 2.0) / (b * (b - a)),
+            ])
+            out[row] = out[i] + np.tensordot(w, seg, axes=(0, 0))
+            scale[row] = scale[i] + np.tensordot(np.abs(w), np.abs(seg), axes=(0, 0))
+        i += 2
+    if i == t.size - 2:
+        h = t[i + 1] - t[i]
+        out[i + 1] = out[i] + 0.5 * h * (y[i] + y[i + 1])
+        scale[i + 1] = scale[i] + 0.5 * h * (np.abs(y[i]) + np.abs(y[i + 1]))
+    return out, scale
+
+
+@st.composite
+def quadrature_inputs(draw):
+    """A non-uniform grid of 2-64 samples and 1-D or (m, 3) values."""
+    m = draw(st.integers(2, 64))
+    start = draw(st.floats(-10.0, 10.0))
+    steps = draw(st.lists(st.floats(0.05, 1.0), min_size=m - 1, max_size=m - 1))
+    t = start + np.concatenate([[0.0], np.cumsum(steps)])
+    shape = draw(st.sampled_from([(m,), (m, 3)]))
+    y = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))))).reshape(shape)
+    return t, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(quadrature_inputs())
+def test_quadrature_matches_pairwise_loop(inputs):
+    t, y = inputs
+    out = cumulative_quadrature(t, y)
+    ref, scale = pairwise_quadrature_oracle(t, y)
+    assert out.shape == y.shape
+    assert np.all(np.abs(out - ref) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("times", [
+    [0.0, 0.0, 1.0],
+    [0.0, 2.0, 1.0],
+    [0.0, np.nan, 1.0],
+    [0.0, 1.0, np.inf],
+], ids=["repeated", "decreasing", "nan", "inf"])
+def test_quadrature_rejects_bad_grid(times):
+    with pytest.raises(ValueError):
+        cumulative_quadrature(times, np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +355,12 @@ def test_reparametrize_round_trip():
 def test_reparametrize_rejects_nonpositive_factor():
     with pytest.raises(NonPositiveFactor):
         reparametrize_time(_simple_traj(), lambda s: -1.0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_reparametrize_rejects_non_finite_factor(value):
+    with pytest.raises(NonPositiveFactor):
+        reparametrize_time(_simple_traj(), lambda s: value)
 
 
 # ---------------------------------------------------------------------------

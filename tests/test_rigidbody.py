@@ -236,6 +236,11 @@ def test_lambda_grid_mismatch():
         lambda_average(t, np.ones(21), 3.0)
 
 
+def test_lambda_rejects_repeated_time():
+    with pytest.raises(GridMismatch):
+        lambda_average([0.0, 1.0, 1.0, 2.0], np.ones(4), 2.0)
+
+
 def test_lambda_endpoint_consistency_on_periodic_orbit(triaxial_params,
                                                        triaxial_system,
                                                        zero_momentum):
