@@ -81,13 +81,11 @@ from .ellipsoid import (
     kolosov_angles,
     kolosov_map,
     kolosov_potential,
-    kolosov_potential_grad,
     kolosov_velocity,
     maupertuis_speed,
     principal_section_orbits,
     project_to_surface,
     section_seed,
-    surface_potential_from_chart,
     surface_residual,
 )
 from .systems import central_force_system, constant_matrix_system, harmonic_radial_potential

@@ -98,18 +98,22 @@ class ConformalData:
 
 
 def _residual_unchecked(p: RigidBodyParams, u):
-    return p.A * u[0] ** 2 + p.B * u[1] ** 2 + p.C * u[2] ** 2 - 1.0
+    u = np.asarray(u, dtype=float)
+    return p.A * u[..., 0] ** 2 + p.B * u[..., 1] ** 2 + p.C * u[..., 2] ** 2 - 1.0
 
 
-def surface_residual(p: RigidBodyParams, u) -> float:
-    """Constraint value A x^2 + B y^2 + C z^2 - 1."""
-    return float(_residual_unchecked(p, np.asarray(u, dtype=float)))
+def surface_residual(p: RigidBodyParams, u):
+    """Constraint value A x^2 + B y^2 + C z^2 - 1 at a point, or at each
+    row of a (..., 3) stack of points."""
+    res = _residual_unchecked(p, u)
+    return float(res) if res.ndim == 0 else res
 
 
 def _require_on_surface(p: RigidBodyParams, u) -> None:
-    res = surface_residual(p, u)
-    if abs(res) > SURFACE_TOL:
-        raise OffSurface(f"constraint residual {res:.3e} exceeds {SURFACE_TOL:.1e}")
+    """Refuse a point, or a (..., 3) stack, whose worst residual exceeds SURFACE_TOL."""
+    worst = float(np.abs(_residual_unchecked(p, u)).max())
+    if not worst <= SURFACE_TOL:
+        raise OffSurface(f"constraint residual {worst:.3e} exceeds {SURFACE_TOL:.1e}")
 
 
 def constraint_gradient(p: RigidBodyParams, u) -> np.ndarray:
@@ -117,26 +121,27 @@ def constraint_gradient(p: RigidBodyParams, u) -> np.ndarray:
     return 2.0 * np.array([p.A * u[0], p.B * u[1], p.C * u[2]])
 
 
-def kolosov_map(p: RigidBodyParams, phi: float, theta: float) -> np.ndarray:
-    """Shape-sphere point (phi, theta) mapped onto the ellipsoid."""
-    st = math.sin(theta)
-    return np.array([
-        st * math.sin(phi) / math.sqrt(p.A),
-        st * math.cos(phi) / math.sqrt(p.B),
-        math.cos(theta) / math.sqrt(p.C),
-    ])
+def kolosov_map(p: RigidBodyParams, phi, theta) -> np.ndarray:
+    """Shape-sphere point (phi, theta) mapped onto the ellipsoid; angle arrays
+    of one shape give the points stacked on a new last axis."""
+    st = np.sin(theta)
+    return np.stack([
+        st * np.sin(phi) / math.sqrt(p.A),
+        st * np.cos(phi) / math.sqrt(p.B),
+        np.cos(theta) / math.sqrt(p.C),
+    ], axis=-1)
 
 
-def kolosov_velocity(p: RigidBodyParams, phi: float, theta: float,
-                     phidot: float, thetadot: float) -> np.ndarray:
-    """Tangent map of the ellipsoid diffeomorphism applied to (phidot, thetadot)."""
-    sp, cp = math.sin(phi), math.cos(phi)
-    st, ct = math.sin(theta), math.cos(theta)
-    return np.array([
+def kolosov_velocity(p: RigidBodyParams, phi, theta, phidot, thetadot) -> np.ndarray:
+    """Tangent map of the ellipsoid diffeomorphism applied to (phidot, thetadot);
+    arrays of one shape give the velocities stacked on a new last axis."""
+    sp, cp = np.sin(phi), np.cos(phi)
+    st, ct = np.sin(theta), np.cos(theta)
+    return np.stack([
         (ct * sp * thetadot + st * cp * phidot) / math.sqrt(p.A),
         (ct * cp * thetadot - st * sp * phidot) / math.sqrt(p.B),
         -st * thetadot / math.sqrt(p.C),
-    ])
+    ], axis=-1)
 
 
 def kolosov_angles(p: RigidBodyParams, u) -> tuple[float, float]:
@@ -147,26 +152,20 @@ def kolosov_angles(p: RigidBodyParams, u) -> tuple[float, float]:
     return phi, theta
 
 
-def surface_potential_from_chart(p: RigidBodyParams,
-                                 v0: Callable[[float, float], float]) -> Callable[[np.ndarray], float]:
-    """Pull a chart potential (phi, theta) back through the inverse map."""
-
-    def potential(u: np.ndarray) -> float:
-        phi, theta = kolosov_angles(p, u)
-        return float(v0(phi, theta))
-
-    return potential
-
-
-def _factor_unchecked(p: RigidBodyParams, u: np.ndarray) -> float:
-    s = p.A ** 2 * u[0] ** 2 + p.B ** 2 * u[1] ** 2 + p.C ** 2 * u[2] ** 2
+def _factor_unchecked(p: RigidBodyParams, u):
+    u = np.asarray(u, dtype=float)
+    s = p.A ** 2 * u[..., 0] ** 2 + p.B ** 2 * u[..., 1] ** 2 + p.C ** 2 * u[..., 2] ** 2
     return p.A * p.B * p.C / s
 
 
-def conformal_factor(p: RigidBodyParams, u) -> float:
-    """Time-change density a(u) = ABC / (A^2 x^2 + B^2 y^2 + C^2 z^2)."""
+def conformal_factor(p: RigidBodyParams, u):
+    """Time-change density a(u) = ABC / (A^2 x^2 + B^2 y^2 + C^2 z^2).
+
+    ``u`` is a point or a (..., 3) stack of points; a stack gives one
+    density per row after one surface check on the worst row.
+    """
     _require_on_surface(p, u)
-    return _factor_unchecked(p, np.asarray(u, dtype=float))
+    return _factor_unchecked(p, u)
 
 
 def conformal_factor_grad(p: RigidBodyParams, u) -> np.ndarray:
@@ -183,13 +182,6 @@ def kolosov_potential(p: RigidBodyParams, cd: ConformalData, u) -> float:
     Strictly negative everywhere for a free body with h > 0.
     """
     return conformal_factor(p, u) * (cd.value(np.asarray(u, dtype=float)) - cd.h)
-
-
-def kolosov_potential_grad(p: RigidBodyParams, cd: ConformalData, u) -> np.ndarray:
-    u = np.asarray(u, dtype=float)
-    a = conformal_factor(p, u)
-    ga = conformal_factor_grad(p, u)
-    return ga * (cd.value(u) - cd.h) + a * cd.grad(u)
 
 
 def project_to_surface(p: RigidBodyParams, u, udot):
@@ -328,17 +320,19 @@ def constrained_flow(p: RigidBodyParams, cd: ConformalData, s0: EllipsoidState,
     return traj
 
 
+def _speed_unchecked(p: RigidBodyParams, h: float, u, udot):
+    return np.sqrt(h * _factor_unchecked(p, u)) * np.linalg.norm(udot, axis=-1)
+
+
 def maupertuis_speed(p: RigidBodyParams, h: float, s: EllipsoidState) -> float:
-    """Norm of the velocity in the rescaled surface metric.
+    """Norm of the velocity in the rescaled surface metric, sqrt(h a(u)) |udot|.
 
     Along a free-body image in original time this value is constant
     (equal to h sqrt(2)); that constancy certifies the geodesic property
     without building surface Christoffel symbols.
     """
     _require_on_surface(p, s.u)
-    u = s.u
-    sden = p.A ** 2 * u[0] ** 2 + p.B ** 2 * u[1] ** 2 + p.C ** 2 * u[2] ** 2
-    return math.sqrt(h * p.A * p.B * p.C) * float(np.linalg.norm(s.udot)) / math.sqrt(sden)
+    return float(_speed_unchecked(p, h, s.u, s.udot))
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +345,21 @@ _SECTION_AXES = {"x": 0, "y": 1, "z": 2}
 # that stay active, in the parametrization order used by the seeds.
 _SECTION_PLANE = {"z": (0, 1), "y": (0, 2), "x": (1, 2)}
 
+# Chart points per angle of the grid on which max V is sampled.
+_POTENTIAL_GRID = 64
 
-def _max_potential(p: RigidBodyParams, cd: ConformalData, samples: int = 4096) -> float:
+# Adaptive flow of the periodic-orbit shooting and the section closure tolerance.
+_SHOOT_CFG = IntegratorConfig(method="rk45", dt=1e-2, abs_tol=1e-12, rel_tol=1e-12)
+_SECTION_TOL = 1e-8
+
+
+def _max_potential(p: RigidBodyParams, cd: ConformalData) -> float:
     if cd.potential is None:
         return 0.0
-    best = -math.inf
-    m = int(round(math.sqrt(samples)))
-    for phi in np.linspace(0.0, 2.0 * math.pi, m, endpoint=False):
-        for theta in np.linspace(1e-3, math.pi - 1e-3, m):
-            u = kolosov_map(p, phi, theta)
-            best = max(best, cd.value(u))
-    return best
+    phi, theta = np.meshgrid(
+        np.linspace(0.0, 2.0 * math.pi, _POTENTIAL_GRID, endpoint=False),
+        np.linspace(1e-3, math.pi - 1e-3, _POTENTIAL_GRID), indexing="ij")
+    return max(cd.value(u) for u in kolosov_map(p, phi, theta).reshape(-1, 3))
 
 
 def require_energy_above_potential(p: RigidBodyParams, cd: ConformalData) -> None:
@@ -400,16 +398,14 @@ def section_seed(p: RigidBodyParams, cd: ConformalData, plane: str):
 
     alpha = np.linspace(0.0, 2.0 * math.pi, 4001)
     cos_a, sin_a = np.cos(alpha), np.sin(alpha)
-    u = np.zeros((3, alpha.size))  # one grid point per column
-    u[i] = cos_a / ri
-    u[j] = sin_a / rj
-    res = float(np.abs(_residual_unchecked(p, u)).max())
-    if not res <= SURFACE_TOL:
-        raise OffSurface(f"constraint residual {res:.3e} exceeds {SURFACE_TOL:.1e}")
+    u = np.zeros((alpha.size, 3))  # one grid point per row
+    u[:, i] = cos_a / ri
+    u[:, j] = sin_a / rj
+    _require_on_surface(p, u)
     if cd.potential is None:
         margin = np.full(alpha.size, cd.h)
     else:
-        margin = cd.h - np.array([cd.value(point) for point in u.T])
+        margin = cd.h - np.array([cd.value(point) for point in u])
     if not (margin > 0.0).all():
         raise InvalidParams(
             f"energy constant h={cd.h:.6g} does not exceed V on the {plane}-section "
@@ -421,12 +417,10 @@ def section_seed(p: RigidBodyParams, cd: ConformalData, plane: str):
 
     udot0 = np.zeros(3)
     udot0[j] = speed[0]
-    return np.concatenate([u[:, 0], udot0]), T_guess
+    return np.concatenate([u[0], udot0]), T_guess
 
 
-def principal_section_orbits(p: RigidBodyParams, cd: ConformalData,
-                             cfg: Optional[IntegratorConfig] = None,
-                             tol: float = 1e-8) -> Dict[str, PeriodicOrbit]:
+def principal_section_orbits(p: RigidBodyParams, cd: ConformalData) -> Dict[str, PeriodicOrbit]:
     """Refine the three coordinate-plane closed orbits of the rescaled flow.
 
     Coordinate planes are invariant under the flow because the factor and
@@ -442,14 +436,11 @@ def principal_section_orbits(p: RigidBodyParams, cd: ConformalData,
         NoConvergence: a section failed to refine (propagated per section).
     """
     require_energy_above_potential(p, cd)
-    if cfg is None:
-        cfg = IntegratorConfig(method="rk45", dt=1e-2, abs_tol=1e-12, rel_tol=1e-12)
-
     rhs = _flow_rhs(p, cd)
     project = _flow_project(p)
 
     def flow(state: np.ndarray, T: float) -> np.ndarray:
-        return propagate(rhs, project(state), 0.0, T, cfg, project=project)
+        return propagate(rhs, project(state), 0.0, T, _SHOOT_CFG, project=project)
 
     orbits: Dict[str, PeriodicOrbit] = {}
     for plane in ("x", "y", "z"):
@@ -458,26 +449,17 @@ def principal_section_orbits(p: RigidBodyParams, cd: ConformalData,
         # energy of the orbit family while least squares absorbs the
         # time-shift direction
         phase_index = 3 + int(np.argmax(np.abs(seed[3:])))
-        orbits[plane] = shoot_periodic(flow, seed, T_guess, cfg, tol=tol,
+        orbits[plane] = shoot_periodic(flow, seed, T_guess, _SHOOT_CFG, tol=_SECTION_TOL,
                                        phase_index=phase_index)
     return orbits
 
 
-def orbit_trajectory(p: RigidBodyParams, cd: ConformalData, orbit: PeriodicOrbit,
-                     cfg: Optional[IntegratorConfig] = None,
-                     periods: float = 1.0) -> Trajectory:
-    """Sample a refined orbit over a number of periods (fixed-step RK4)."""
-    if cfg is None:
-        cfg = IntegratorConfig(method="rk4", dt=1e-3)
-    state = EllipsoidState.from_vector(orbit.initial_state)
-    return constrained_flow(p, cd, state, 0.0, periods * orbit.period, cfg)
-
-
 def dsigma_length(p: RigidBodyParams, cd: ConformalData, orbit: PeriodicOrbit,
-                  cfg: Optional[IntegratorConfig] = None) -> float:
-    """Length of a closed orbit in the rescaled surface metric."""
-    traj = orbit_trajectory(p, cd, orbit, cfg)
-    speeds = np.array([
-        maupertuis_speed(p, cd.h, EllipsoidState.from_vector(s)) for s in traj.states
-    ])
-    return float(cumulative_quadrature(traj.times, speeds)[-1])
+                  cfg: IntegratorConfig = IntegratorConfig(method="rk4", dt=1e-3)) -> float:
+    """Length of a closed orbit in the rescaled surface metric: the speed
+    sqrt(h a(u)) |udot| integrated over one period of the constrained flow."""
+    start = EllipsoidState.from_vector(orbit.initial_state)
+    traj = constrained_flow(p, cd, start, 0.0, orbit.period, cfg)
+    u, udot = traj.states[:, :3], traj.states[:, 3:]
+    _require_on_surface(p, u)
+    return float(cumulative_quadrature(traj.times, _speed_unchecked(p, cd.h, u, udot))[-1])

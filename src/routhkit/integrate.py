@@ -225,7 +225,7 @@ def integrate_ode(rhs: Callable[[np.ndarray], np.ndarray], s0, t0: float, t1: fl
 
 def propagate(rhs, s0, t0: float, t1: float, cfg: IntegratorConfig,
               project=None) -> np.ndarray:
-    """Final state of the flow over [t0, t1] without storing the history."""
+    """Final state of the flow over [t0, t1]; ``integrate_ode`` stores every step on the way."""
     if t1 == t0:
         return np.asarray(s0, dtype=float).copy()
     return integrate_ode(rhs, s0, t0, t1, cfg, project=project).states[-1]
@@ -392,18 +392,22 @@ def reconstruct(sys: SymmetricSystem, f: MomentumValue, red: Trajectory,
                                           chart=red.meta.chart, energy0=red.meta.energy0))
 
 
-def reparametrize_time(traj: Trajectory, factor: Callable[[np.ndarray], float]) -> Trajectory:
+def reparametrize_time(traj: Trajectory, factor) -> Trajectory:
     """Rescale the time grid by the state-dependent density dt = factor d(tau).
 
-    The states are unchanged; the new grid is tau(t) = integral of
-    1/factor along the trajectory, computed with the same quadrature as
-    reconstruction.
+    ``factor`` is the density sampled on the trajectory, one value per
+    sample.  The states are unchanged; the new grid is tau(t) = integral
+    of 1/factor along the trajectory, computed with the same quadrature
+    as reconstruction.
 
     Raises:
+        ValueError: ``factor`` does not hold one value per sample.
         NonPositiveFactor: factor is not finite and strictly positive at a
             sample.
     """
-    vals = np.array([float(factor(s)) for s in traj.states])
+    vals = np.asarray(factor, dtype=float)
+    if vals.shape != traj.times.shape:
+        raise ValueError(f"factor has shape {vals.shape}, need one value per sample")
     bad = ~(np.isfinite(vals) & (vals > 0.0))
     if bad.any():
         k = int(np.argmax(bad))

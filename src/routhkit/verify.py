@@ -14,23 +14,25 @@ import numpy as np
 
 from .ellipsoid import (
     ConformalData,
-    EllipsoidState,
+    _SHOOT_CFG,
     _flow_project,
     _flow_rhs,
+    _speed_unchecked,
     conformal_factor,
     dsigma_length,
     kolosov_map,
     kolosov_velocity,
-    maupertuis_speed,
     principal_section_orbits,
 )
-from .errors import ConfigError, NotPositiveDefinite
+from .errors import ConfigError, NotPositiveDefinite, SpanTooShort
 from .integrate import (
     IntegratorConfig,
     Trajectory,
     TrajectoryMeta,
+    cumulative_quadrature,
     integrate_full,
     integrate_grid,
+    integrate_ode,
     integrate_reduced,
     propagate,
     reconstruct,
@@ -61,6 +63,14 @@ from .rigidbody import (
 from .systems import constant_matrix_system
 
 REPORT_SCHEMA_VERSION = 1
+
+# Random draws, generator seed and tolerance of each algebraic check.
+_ROUND_TRIP_COUNT, _ROUND_TRIP_SEED, _ROUND_TRIP_TOL = 100, 1234, 1e-12
+_DETERMINANT_COUNT, _DETERMINANT_SEED, _DETERMINANT_TOL = 50, 99, 1e-5
+_DEGENERATION_COUNT, _DEGENERATION_SEED, _DEGENERATION_TOL = 100, 7, 1e-12
+_CLOSED_FORM_COUNT, _CLOSED_FORM_SEED, _CLOSED_FORM_TOL = 100, 21, 1e-10
+# Initial cyclic angle and gap tolerance of the projection check.
+_PROJECTION_PSI0, _PROJECTION_TOL = 0.5, 1e-6
 
 
 @dataclass
@@ -111,12 +121,11 @@ def random_momentum(rng: np.random.Generator, sys: SymmetricSystem) -> MomentumV
     return MomentumValue(xi=rng.normal(size=sys.k), eta=rng.normal(size=sys.l))
 
 
-def momentum_round_trip_check(count: int = 100, seed: int = 1234,
-                              tolerance: float = 1e-12) -> CheckResult:
+def momentum_round_trip_check() -> CheckResult:
     """Momentum of the momentum-completed state reproduces the target covector."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_ROUND_TRIP_SEED)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(_ROUND_TRIP_COUNT):
         sys = random_system(rng, constant=bool(rng.integers(0, 2)))
         f = random_momentum(rng, sys)
         r = ReducedState(q=rng.normal(size=sys.n), qdot=rng.normal(size=sys.n))
@@ -124,17 +133,16 @@ def momentum_round_trip_check(count: int = 100, seed: int = 1234,
         back = momentum_map(sys, s).as_vector()
         ref = max(1.0, float(np.max(np.abs(f.as_vector()))))
         worst = max(worst, float(np.max(np.abs(back - f.as_vector()))) / ref)
-    return _result("momentum-round-trip", worst, tolerance,
-                   f"{count} random systems")
+    return _result("momentum-round-trip", worst, _ROUND_TRIP_TOL,
+                   f"{_ROUND_TRIP_COUNT} random systems")
 
 
-def determinant_identity_check(params: RigidBodyParams, count: int = 50,
-                               seed: int = 99, tolerance: float = 1e-5) -> CheckResult:
+def determinant_identity_check(params: RigidBodyParams) -> CheckResult:
     """Symplectic determinant vs (det K / det D)^2 on rigid-body and synthetic states."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DETERMINANT_SEED)
     sys_rb = rb_system(params)
     worst = 0.0
-    for i in range(count):
+    for i in range(_DETERMINANT_COUNT):
         if i % 2 == 0:
             sys = sys_rb
             q = np.array([rng.uniform(-np.pi, np.pi), rng.uniform(0.4, np.pi - 0.4)])
@@ -146,16 +154,15 @@ def determinant_identity_check(params: RigidBodyParams, count: int = 50,
         r = ReducedState(q=q, qdot=rng.normal(size=sys.n))
         lhs, rhs = symplectic_det_pair(sys, f, r)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return _result("symplectic-determinant-identity", worst, tolerance,
-                   f"{count} states, rigid body and synthetic")
+    return _result("symplectic-determinant-identity", worst, _DETERMINANT_TOL,
+                   f"{_DETERMINANT_COUNT} states, rigid body and synthetic")
 
 
-def zero_momentum_degeneration_check(params: RigidBodyParams, count: int = 100,
-                                     seed: int = 7, tolerance: float = 1e-12) -> CheckResult:
+def zero_momentum_degeneration_check(params: RigidBodyParams) -> CheckResult:
     """At zero momentum the Routhian equals the completed-state Lagrangian."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DEGENERATION_SEED)
     worst = 0.0
-    for i in range(count):
+    for i in range(_DEGENERATION_COUNT):
         if i % 2 == 0:
             sys = rb_system(params)
             q = np.array([rng.uniform(-np.pi, np.pi), rng.uniform(0.4, np.pi - 0.4)])
@@ -167,26 +174,25 @@ def zero_momentum_degeneration_check(params: RigidBodyParams, count: int = 100,
         a = routhian(sys, f0, r)
         b = lagrangian_full(sys, complete_state(sys, f0, r))
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    return _result("zero-momentum-degeneration", worst, tolerance,
-                   f"{count} random states")
+    return _result("zero-momentum-degeneration", worst, _DEGENERATION_TOL,
+                   f"{_DEGENERATION_COUNT} random states")
 
 
-def closed_form_lagrangian_check(params: RigidBodyParams, count: int = 100,
-                                 seed: int = 21, tolerance: float = 1e-10) -> CheckResult:
+def closed_form_lagrangian_check(params: RigidBodyParams) -> CheckResult:
     """Rigid-body Routhian at zero momentum matches the explicit chart formula."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_CLOSED_FORM_SEED)
     sys = rb_system(params)
     f0 = MomentumValue.zero(0, 1)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(_CLOSED_FORM_COUNT):
         phi = rng.uniform(-np.pi, np.pi)
         theta = rng.uniform(0.3, np.pi - 0.3)
         phidot, thetadot = rng.normal(size=2)
         a = kolosov_reduced_lagrangian(params, phi, theta, phidot, thetadot)
         b = routhian(sys, f0, ReducedState(q=[phi, theta], qdot=[phidot, thetadot]))
         worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    return _result("closed-form-reduced-lagrangian", worst, tolerance,
-                   f"{count} random chart states")
+    return _result("closed-form-reduced-lagrangian", worst, _CLOSED_FORM_TOL,
+                   f"{_CLOSED_FORM_COUNT} random chart states")
 
 
 def asymmetric_rejection_check() -> CheckResult:
@@ -202,9 +208,7 @@ def asymmetric_rejection_check() -> CheckResult:
 
 
 def projection_equivalence_check(params: RigidBodyParams, r0: ReducedState,
-                                 t_end: float = 10.0, dt: float = 1e-3,
-                                 psi0: float = 0.5,
-                                 tolerance: float = 1e-6) -> List[CheckResult]:
+                                 t_end: float = 10.0, dt: float = 1e-3) -> List[CheckResult]:
     """Projected full trajectory vs reduced trajectory, and reconstruction.
 
     Returns three results: the projection gap, the reconstructed cyclic
@@ -214,13 +218,13 @@ def projection_equivalence_check(params: RigidBodyParams, r0: ReducedState,
     f0 = MomentumValue.zero(0, 1)
     cfg = IntegratorConfig(method="rk4", dt=dt)
     red = integrate_reduced(sys, f0, r0, 0.0, t_end, cfg)
-    s0 = complete_state(sys, f0, r0, psi=[psi0])
+    s0 = complete_state(sys, f0, r0, psi=[_PROJECTION_PSI0])
     full = integrate_full(sys, s0, 0.0, t_end, cfg)
 
     proj = full.states[:, [0, 1, 3, 4]]
     gap = float(np.max(np.abs(proj - red.states)))
 
-    rec = reconstruct(sys, f0, red, x0=None, psi0=[psi0])
+    rec = reconstruct(sys, f0, red, x0=None, psi0=[_PROJECTION_PSI0])
     psi_gap = float(np.max(np.abs(rec.states[:, 2] - full.states[:, 2])))
 
     worst_mom = 0.0
@@ -230,8 +234,9 @@ def projection_equivalence_check(params: RigidBodyParams, r0: ReducedState,
         worst_mom = max(worst_mom, float(np.max(np.abs(momentum_map(sys, st).as_vector()))))
 
     return [
-        _result("projection-equivalence", gap, tolerance, f"t_end={t_end}, dt={dt}"),
-        _result("reconstruction-angle-match", psi_gap, tolerance, "cyclic angle vs full run"),
+        _result("projection-equivalence", gap, _PROJECTION_TOL, f"t_end={t_end}, dt={dt}"),
+        _result("reconstruction-angle-match", psi_gap, _PROJECTION_TOL,
+                "cyclic angle vs full run"),
         _result("reconstruction-momentum-residual", worst_mom, 1e-10,
                 "momentum along reconstructed samples"),
     ]
@@ -292,11 +297,9 @@ def report_dict(results: List[CheckResult], system: str = "rigid-body") -> dict:
 
 def map_reduced_trajectory(params: RigidBodyParams, red: Trajectory) -> Trajectory:
     """Image of a reduced trajectory on the ellipsoid, original time."""
-    m = red.times.size
-    img = np.empty((m, 6))
-    for i, row in enumerate(red.states):
-        img[i, :3] = kolosov_map(params, row[0], row[1])
-        img[i, 3:] = kolosov_velocity(params, row[0], row[1], row[2], row[3])
+    phi, theta, phidot, thetadot = red.states.T
+    img = np.concatenate([kolosov_map(params, phi, theta),
+                          kolosov_velocity(params, phi, theta, phidot, thetadot)], axis=1)
     return Trajectory(times=red.times.copy(), states=img,
                       meta=TrajectoryMeta(system="ellipsoid", chart="embedded",
                                           energy0=red.meta.energy0))
@@ -375,40 +378,43 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
                            "sphere: all three periods agree")
 
     window_tau = sections["z"]["period"]
-    # a(u) is at most max(A,B,C)-fold time compression on the surface
-    t_end = 1.05 * window_tau * max(moments)
-    red = integrate_reduced(sys, f0, r0, 0.0, t_end, cfg)
+    # matched rescaled-time data at the image of r0: u' = a(u) udot
+    rhs = _flow_rhs(params, cd)
+    project = _flow_project(params)
+    u0 = kolosov_map(params, *r0.q)
+    start = project(np.concatenate([
+        u0, conformal_factor(params, u0) * kolosov_velocity(params, *r0.q, *r0.qdot)]))
+    # a(u) ranges over [ABC/max, ABC/min] on the surface, so no fixed multiple
+    # of the window bounds its physical time tightly; it is measured instead,
+    # as the integral of a(u) along the rescaled-time flow over the window
+    pre = integrate_ode(rhs, start, 0.0, window_tau, cfg, project=project)
+    t_window = cumulative_quadrature(pre.times, conformal_factor(params, pre.states[:, :3]))[-1]
+    red = integrate_reduced(sys, f0, r0, 0.0, 1.05 * float(t_window), cfg)
     image_t = map_reduced_trajectory(params, red)
-    image_tau = reparametrize_time(image_t, lambda s: conformal_factor(params, s[:3]))
+    density = conformal_factor(params, image_t.states[:, :3])
+    image_tau = reparametrize_time(image_t, density)
+    if image_tau.times[-1] < window_tau:
+        raise SpanTooShort(f"rescaled-time image ends at {image_tau.times[-1]:.6g}, "
+                           f"before the window {window_tau:.6g}")
 
     stop = int(np.searchsorted(image_tau.times, window_tau)) + 1
-    stop = min(stop, image_tau.times.size)
     tau_w = image_tau.times[:stop]
     img_w = image_tau.states[:stop]
 
     # (a) zero-energy relation with the rescaled-time velocity u' = a(u) udot
-    worst_a = 0.0
-    for row in img_w:
-        a = conformal_factor(params, row[:3])
-        uprime = a * row[3:]
-        worst_a = max(worst_a, abs(0.5 * float(uprime @ uprime) - a * h) / (a * h))
+    a = density[:stop]
+    uprime = a[:, None] * img_w[:, 3:]
+    worst_a = float(np.max(np.abs(0.5 * (uprime * uprime).sum(axis=1) - a * h) / (a * h)))
     rel_a = _result("zero-energy-relation", worst_a, 1e-6, "T(u') = a(u) h pointwise")
 
     # (b) independently integrated rescaled-time flow from matched data
-    rhs = _flow_rhs(params, cd)
-    project = _flow_project(params)
-    start = np.concatenate([img_w[0, :3],
-                            conformal_factor(params, img_w[0, :3]) * img_w[0, 3:]])
-    flow_states = integrate_grid(rhs, project(start), tau_w, dt, project=project)
+    flow_states = integrate_grid(rhs, start, tau_w, dt, project=project)
     gap_b = float(np.max(np.abs(flow_states[:, :3] - img_w[:, :3])))
     match_b = _result("conformal-flow-match", gap_b, 1e-5,
                       f"sup position gap over one section period ({window_tau:.4g})")
 
     # (c) rescaled-metric speed constancy along the original-time image
-    speeds = np.array([
-        maupertuis_speed(params, h, EllipsoidState.from_vector(row))
-        for row in image_t.states[:red.times.size]
-    ])
+    speeds = _speed_unchecked(params, h, image_t.states[:, :3], image_t.states[:, 3:])
     variation = float((speeds.max() - speeds.min()) / speeds.mean())
     const_c = _result("rescaled-speed-constancy", variation, 1e-5,
                       f"mean speed {speeds.mean():.6g}, expect h*sqrt(2) = {h * np.sqrt(2):.6g}")
@@ -434,11 +440,10 @@ def _equatorial_analysis(params: RigidBodyParams, sys: SymmetricSystem,
     """
     omega = float(np.sqrt(2.0 * h / params.C))
     seed = ReducedState(q=[0.0, np.pi / 2.0], qdot=[omega, 0.0])
-    cfg45 = IntegratorConfig(method="rk45", dt=1e-2, abs_tol=1e-12, rel_tol=1e-12)
     rhs = reduced_vector_field(sys, f0)
 
     def flow(s, T):
-        return propagate(rhs, s, 0.0, T, cfg45)
+        return propagate(rhs, s, 0.0, T, _SHOOT_CFG)
 
     orbit = shoot_periodic(flow, seed.to_vector(), 2.0 * np.pi / omega,
                            phase_index=2, angle_indices=(0,))

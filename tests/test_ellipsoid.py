@@ -11,6 +11,7 @@ from routhkit import (
     IntegratorConfig,
     InvalidParams,
     OffSurface,
+    ReducedState,
     RigidBodyParams,
     StepFailure,
     conformal_energy,
@@ -38,6 +39,7 @@ from routhkit.ellipsoid import (
     _flow_rhs,
     constraint_gradient,
 )
+from routhkit.verify import run_kolosov
 
 
 def closed_form_section_period(p, h, plane):
@@ -107,6 +109,22 @@ def test_angles_invert_map(triaxial, rng):
         assert abs(theta2 - theta) < 1e-12
 
 
+def test_stacked_map_and_velocity_equal_scalar_calls(triaxial, rng):
+    m = 200
+    phi, theta = rng.uniform(-np.pi, np.pi, m), rng.uniform(0.0, np.pi, m)
+    phidot, thetadot = rng.normal(size=(2, m))
+    u = kolosov_map(triaxial, phi, theta)
+    v = kolosov_velocity(triaxial, phi, theta, phidot, thetadot)
+    assert u.shape == v.shape == (m, 3)
+    for i in range(m):
+        assert np.array_equal(u[i], kolosov_map(triaxial, phi[i], theta[i]))
+        assert np.array_equal(v[i], kolosov_velocity(triaxial, phi[i], theta[i],
+                                                     phidot[i], thetadot[i]))
+    # a (rows, columns) grid of angles keeps its shape in front of the coordinates
+    grid = kolosov_map(triaxial, phi.reshape(20, 10), theta.reshape(20, 10))
+    assert np.array_equal(grid.reshape(m, 3), u)
+
+
 # ---------------------------------------------------------------------------
 # conformal factor and potential
 
@@ -132,6 +150,24 @@ def test_factor_positive_everywhere(triaxial, rng):
 def test_factor_rejects_off_surface(triaxial):
     with pytest.raises(OffSurface):
         conformal_factor(triaxial, np.array([1.0, 1.0, 1.0]))
+
+
+def test_stacked_factor_equals_scalar_calls(triaxial, rng):
+    u = np.array([random_surface_point(triaxial, rng) for _ in range(200)])
+    a = conformal_factor(triaxial, u)
+    assert a.shape == (200,)
+    for i in range(u.shape[0]):
+        assert a[i] == conformal_factor(triaxial, u[i])
+    assert np.array_equal(surface_residual(triaxial, u),
+                          [surface_residual(triaxial, row) for row in u])
+
+
+@pytest.mark.parametrize("row", [0, 7, 19])
+def test_stacked_factor_rejects_one_off_surface_row(triaxial, rng, row):
+    u = np.array([random_surface_point(triaxial, rng) for _ in range(20)])
+    u[row] *= 1.0 + 1e-6
+    with pytest.raises(OffSurface):
+        conformal_factor(triaxial, u)
 
 
 def test_factor_gradient_matches_finite_differences(triaxial, rng):
@@ -378,6 +414,16 @@ def test_sections_refine_perturbed_period_guess(triaxial):
     orbit = shoot_periodic(flow, seed, 1.005 * T_guess, phase_index=4)
     assert orbit.closure_error <= 1e-8
     assert orbit.iterations >= 1
+
+
+def test_flow_match_covers_the_whole_window():
+    # a(u) reaches ABC / min(A, B, C) = 3 on this body, so the physical time
+    # of one section period can exceed max(A, B, C) windows; the image must
+    # still reach the end of the window that check (b) reports
+    rep = run_kolosov(RigidBodyParams(1.0, 1.5, 2.0), ReducedState(q=[0.7, 1.1], qdot=[0.4, 0.15]),
+                      dt=1e-2, energy_target=20.0)
+    assert rep.image_tau.times[-1] >= rep.window
+    assert all(r.passed for r in rep.results())
 
 
 def test_energy_below_potential_refused(triaxial):

@@ -333,34 +333,41 @@ def _simple_traj():
 
 def test_reparametrize_unit_factor_identity():
     traj = _simple_traj()
-    out = reparametrize_time(traj, lambda s: 1.0)
+    out = reparametrize_time(traj, np.ones(traj.times.size))
     assert np.max(np.abs(out.times - traj.times)) < 1e-14
     assert np.array_equal(out.states, traj.states)
 
 
 def test_reparametrize_constant_factor():
     traj = _simple_traj()
-    out = reparametrize_time(traj, lambda s: 2.0)
+    out = reparametrize_time(traj, np.full(traj.times.size, 2.0))
     assert np.max(np.abs(out.times - traj.times / 2.0)) < 1e-14
 
 
 def test_reparametrize_round_trip():
     traj = _simple_traj()
-    once = reparametrize_time(traj, lambda s: 2.0)
+    once = reparametrize_time(traj, np.full(traj.times.size, 2.0))
     shifted = Trajectory(times=once.times, states=once.states, meta=once.meta)
-    back = reparametrize_time(shifted, lambda s: 0.5)
+    back = reparametrize_time(shifted, np.full(traj.times.size, 0.5))
     assert np.max(np.abs(back.times - traj.times)) < 1e-9
 
 
 def test_reparametrize_rejects_nonpositive_factor():
     with pytest.raises(NonPositiveFactor):
-        reparametrize_time(_simple_traj(), lambda s: -1.0)
+        reparametrize_time(_simple_traj(), np.full(21, -1.0))
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_reparametrize_rejects_non_finite_factor(value):
     with pytest.raises(NonPositiveFactor):
-        reparametrize_time(_simple_traj(), lambda s: value)
+        reparametrize_time(_simple_traj(), np.full(21, value))
+
+
+@pytest.mark.parametrize("values", [np.ones(20), np.ones(22), np.ones((21, 1)), 1.0],
+                         ids=["short", "long", "column", "scalar"])
+def test_reparametrize_rejects_misaligned_values(values):
+    with pytest.raises(ValueError, match="one value per sample"):
+        reparametrize_time(_simple_traj(), values)
 
 
 # ---------------------------------------------------------------------------
