@@ -26,10 +26,10 @@ from .reduction import (
     MomentumValue,
     ReducedState,
     SymmetricSystem,
+    _checked_metric,
     _reduced_accel,
     accel,
     energy_full,
-    evaluate_metric,
     momentum_map,
     reduced_energy,
     solve_cyclic,
@@ -232,7 +232,11 @@ def propagate(rhs, s0, t0: float, t1: float, cfg: IntegratorConfig,
 
 
 def integrate_grid(rhs, s0, grid, dt: float, project=None) -> np.ndarray:
-    """RK4 states on a prescribed grid, substepping each segment at <= dt."""
+    """RK4 states on a prescribed grid, substepping each segment at <= dt.
+
+    Raises:
+        StepFailure: a substep produced a non-finite state.
+    """
     grid = np.asarray(grid, dtype=float)
     y = np.asarray(s0, dtype=float).copy()
     out = np.empty((grid.size, y.size))
@@ -241,10 +245,12 @@ def integrate_grid(rhs, s0, grid, dt: float, project=None) -> np.ndarray:
         seg = grid[i + 1] - grid[i]
         n_sub = max(1, int(math.ceil(seg / dt - 1e-12)))
         h = seg / n_sub
-        for _ in range(n_sub):
+        for j in range(n_sub):
             y = _rk4_step(rhs, y, h)
             if project is not None:
                 y = project(y)
+            if not np.isfinite(y).all():
+                raise StepFailure(f"non-finite state at t={grid[i] + (j + 1) * h:.6g}")
         out[i + 1] = y
     return out
 
@@ -262,7 +268,7 @@ def full_rhs(sys: SymmetricSystem) -> Callable[[np.ndarray], np.ndarray]:
     def rhs(y: np.ndarray) -> np.ndarray:
         q = y[:n]
         v = y[d:]
-        return np.concatenate([v, accel(sys, q, v, evaluate_metric(sys, q))])
+        return np.concatenate([v, accel(sys, q, v, *_checked_metric(sys, q))])
 
     return rhs
 

@@ -10,6 +10,7 @@ pure functions of their inputs and safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,6 +26,9 @@ from .errors import (
 BOUNDARY_TOL = 1e-6
 # Relative tolerance on the symmetry defect of the kinetic matrix.
 SYMMETRY_TOL = 1e-12
+# Kinetic matrices up to this size are validated, factored and solved on
+# Python floats; numpy's per-call overhead outweighs the work below it.
+_FLOAT_MAX_DIM = 3
 
 TWO_PI = 2.0 * np.pi
 
@@ -56,6 +60,9 @@ class SymmetricSystem:
         mass_matrix_grad: Optional callable q -> (n, d, d) array whose
             entry b is dK/dq_b.  Without it the dynamics take central
             differences of ``mass_matrix``.
+        potential_grad: Optional callable q -> (n,) gradient of the
+            potential.  Without it the dynamics take central differences
+            of ``potential``.
     """
 
     n: int
@@ -66,6 +73,7 @@ class SymmetricSystem:
     pole_guard: Optional[Callable[[np.ndarray], float]] = None
     name: str = "system"
     mass_matrix_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    potential_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -200,28 +208,116 @@ def _metric_raw(sys: SymmetricSystem, q: np.ndarray) -> np.ndarray:
     return K
 
 
+def _asymmetric(defect: float) -> NotPositiveDefinite:
+    return NotPositiveDefinite(
+        f"kinetic matrix asymmetric: |K - K^T| = {defect:.3e} exceeds "
+        f"{SYMMETRY_TOL:.1e} relative"
+    )
+
+
+_NON_FINITE = "kinetic matrix has a non-finite entry"
+_INDEFINITE = "kinetic matrix is not positive definite"
+
+
+def _float_factor(rows: list) -> list:
+    """Validate a small kinetic matrix on floats and return its Cholesky factor.
+
+    The factor is lower triangular, stored as ragged rows, for the matrix
+    with its coordinates in reverse order, so the cyclic block comes
+    first: the leading (k+l) rows factor the reversed cyclic block D.  A
+    pivot that is not > 0 is the definiteness check.
+    """
+    d = len(rows)
+    flat = [x for row in rows for x in row]
+    if not all(map(math.isfinite, flat)):
+        raise NotPositiveDefinite(_NON_FINITE)
+    scale = max(1.0, max(flat), -min(flat))
+    defect = 0.0
+    for i in range(d):
+        row = rows[i]
+        for j in range(i):
+            defect = max(defect, abs(row[j] - rows[j][i]))
+    if defect > SYMMETRY_TOL * scale:
+        raise _asymmetric(defect)
+    L = []
+    for i in range(d - 1, -1, -1):
+        row = rows[i]
+        out = []
+        for j, Lj in enumerate(L):
+            acc = row[d - 1 - j]
+            for p in range(j):
+                acc -= out[p] * Lj[p]
+            out.append(acc / Lj[j])
+        acc = row[i]
+        for x in out:
+            acc -= x * x
+        if not acc > 0.0:
+            raise NotPositiveDefinite(_INDEFINITE)
+        out.append(math.sqrt(acc))
+        L.append(out)
+    return L
+
+
+def _factor_solve(L: list, b: list) -> list:
+    """Solve (L L^T) x = b on floats with the leading len(b) rows of L.
+
+    ``b`` and the result are in the factor's (reversed) coordinate order.
+    """
+    m = len(b)
+    y = list(b)
+    for i in range(m):
+        Li = L[i]
+        acc = y[i]
+        for p in range(i):
+            acc -= Li[p] * y[p]
+        y[i] = acc / Li[i]
+    for i in range(m - 1, -1, -1):
+        acc = y[i]
+        for p in range(i + 1, m):
+            acc -= L[p][i] * y[p]
+        y[i] = acc / L[i][i]
+    return y
+
+
+def _checked_metric(sys: SymmetricSystem, q: np.ndarray):
+    """Guarded and validated kinetic matrix at q, with its float factor.
+
+    Returns:
+        (K, L): the kinetic matrix, and for d <= ``_FLOAT_MAX_DIM`` its
+        cyclic-first Cholesky factor from ``_float_factor`` (None for
+        larger d, which validate and solve with numpy).
+
+    Raises:
+        ChartBoundary: q is within the pole-guard distance of the boundary.
+        NotPositiveDefinite: the matrix has a non-finite entry, is
+            asymmetric beyond tolerance, or its Cholesky factorization fails.
+    """
+    K = _metric_raw(sys, q)
+    if sys.dim <= _FLOAT_MAX_DIM:
+        return K, _float_factor(K.tolist())
+    top = float(np.abs(K).max())    # NaN or inf when an entry is not finite
+    if not math.isfinite(top):
+        raise NotPositiveDefinite(_NON_FINITE)
+    scale = max(1.0, top)
+    defect = float(np.abs(K - K.T).max())
+    if defect > SYMMETRY_TOL * scale:
+        raise _asymmetric(defect)
+    try:
+        np.linalg.cholesky(K)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(_INDEFINITE) from exc
+    return K, None
+
+
 def evaluate_metric(sys: SymmetricSystem, q) -> np.ndarray:
     """Evaluate and validate the kinetic matrix at q.
 
     Raises:
         ChartBoundary: q is within the pole-guard distance of the boundary.
-        NotPositiveDefinite: the matrix is asymmetric beyond tolerance or a
-            Cholesky factorization fails.
+        NotPositiveDefinite: the matrix has a non-finite entry, is
+            asymmetric beyond tolerance, or a Cholesky factorization fails.
     """
-    q = np.asarray(q, dtype=float)
-    K = _metric_raw(sys, q)
-    scale = max(1.0, float(np.abs(K).max()))
-    defect = float(np.abs(K - K.T).max())
-    if defect > SYMMETRY_TOL * scale:
-        raise NotPositiveDefinite(
-            f"kinetic matrix asymmetric: |K - K^T| = {defect:.3e} exceeds "
-            f"{SYMMETRY_TOL:.1e} relative"
-        )
-    try:
-        np.linalg.cholesky(K)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("kinetic matrix is not positive definite") from exc
-    return K
+    return _checked_metric(sys, np.asarray(q, dtype=float))[0]
 
 
 def mass_matrix_blocks(sys: SymmetricSystem, q):
@@ -243,16 +339,18 @@ def momentum_map(sys: SymmetricSystem, s: FullState) -> MomentumValue:
     return MomentumValue(xi=p[:sys.k], eta=p[sys.k:])
 
 
-def _cyclic_rates(sys: SymmetricSystem, K: np.ndarray, qdot: np.ndarray,
+def _cyclic_rates(sys: SymmetricSystem, K: np.ndarray, L, qdot: np.ndarray,
                   c: np.ndarray) -> np.ndarray:
-    """Cyclic velocities D^-1 (c - Kcq qdot) from an already validated K."""
+    """Cyclic velocities D^-1 (c - Kcq qdot) from ``_checked_metric``'s (K, L)."""
     n = sys.n
     rhs = c - K[n:, :n] @ qdot
     if sys.n_cyclic == 1:
         return rhs / K[n, n]
     if sys.n_cyclic == 0:
         return rhs
-    return np.linalg.solve(K[n:, n:], rhs)
+    if L is None:
+        return np.linalg.solve(K[n:, n:], rhs)
+    return np.array(_factor_solve(L, rhs.tolist()[::-1])[::-1])
 
 
 def _complete(sys: SymmetricSystem, f: MomentumValue, q, qdot):
@@ -270,8 +368,8 @@ def _complete(sys: SymmetricSystem, f: MomentumValue, q, qdot):
             f"momentum dimensions ({f.xi.size},{f.eta.size}) do not match "
             f"system ({sys.k},{sys.l})"
         )
-    K = evaluate_metric(sys, q)
-    return q, K, np.concatenate([qdot, _cyclic_rates(sys, K, qdot, f.as_vector())])
+    K, L = _checked_metric(sys, q)
+    return q, K, np.concatenate([qdot, _cyclic_rates(sys, K, L, qdot, f.as_vector())])
 
 
 def _kinetic_potential(sys: SymmetricSystem, q, K: np.ndarray, v: np.ndarray):
@@ -382,17 +480,36 @@ def metric_grad(sys: SymmetricSystem, q: np.ndarray) -> np.ndarray:
     return dK
 
 
-def accel(sys: SymmetricSystem, q: np.ndarray, v: np.ndarray, K: np.ndarray) -> np.ndarray:
+def potential_grad(sys: SymmetricSystem, q: np.ndarray) -> np.ndarray:
+    """Gradient of the potential in the shape coordinates.
+
+    Uses the system's closed form when it supplies ``potential_grad``,
+    otherwise central differences of ``potential``.
+    """
+    if sys.potential_grad is None:
+        return gradient(sys.potential, q)
+    grad = np.asarray(sys.potential_grad(q), dtype=float)
+    if grad.shape != (sys.n,):
+        raise ValueError(f"potential gradient must be ({sys.n},), got {grad.shape}")
+    return grad
+
+
+def accel(sys: SymmetricSystem, q: np.ndarray, v: np.ndarray, K: np.ndarray,
+          factor=None) -> np.ndarray:
     """Euler-Lagrange acceleration of the full system at (q, v).
 
     d/dt (K v) = dL/dq with K = K(q) already validated: the cyclic rows
     carry no force, the shape rows carry 0.5 v.(dK/dq_a) v - dV/dq_a.
+    ``factor`` is K's cyclic-first float Cholesky factor from
+    ``_checked_metric``; without it the solve goes through numpy.
     """
     n = sys.n
     T = metric_grad(sys, q) @ v          # T[b] = (dK/dq_b) v
     force = -(v[:n] @ T)
-    force[:n] += 0.5 * (T @ v) - gradient(sys.potential, q)
-    return np.linalg.solve(K, force)
+    force[:n] += 0.5 * (T @ v) - potential_grad(sys, q)
+    if factor is None:
+        return np.linalg.solve(K, force)
+    return np.array(_factor_solve(factor, force.tolist()[::-1])[::-1])
 
 
 def _reduced_accel(sys: SymmetricSystem, c: np.ndarray, q: np.ndarray,
@@ -403,10 +520,10 @@ def _reduced_accel(sys: SymmetricSystem, c: np.ndarray, q: np.ndarray,
     on the momentum level set, so the state is completed with its cyclic
     velocities and handed to the full kernel.
     """
-    K = evaluate_metric(sys, q)
-    v = np.concatenate([qdot, _cyclic_rates(sys, K, qdot, c)])
+    K, L = _checked_metric(sys, q)
+    v = np.concatenate([qdot, _cyclic_rates(sys, K, L, qdot, c)])
     try:
-        return accel(sys, q, v, K)[:sys.n]
+        return accel(sys, q, v, K, L)[:sys.n]
     except np.linalg.LinAlgError as exc:
         raise SingularReducedMass("reduced mass matrix solve failed") from exc
 

@@ -37,7 +37,10 @@ class RigidBodyParams:
         A, B, C: principal moments of inertia, each positive and satisfying
             the triangle-type physicality bounds.
         potential: optional callable (phi, theta) -> energy; independence of
-            the precession angle is structural.
+            the precession angle is structural.  A potential may carry a
+            ``grad`` attribute, a callable (phi, theta) -> (dV/dphi,
+            dV/dtheta); ``rb_system`` then uses it in place of central
+            differences.
     """
 
     A: float
@@ -61,11 +64,18 @@ class RigidBodyParams:
 
 
 def heavy_potential(coefficient: float) -> Callable[[float, float], float]:
-    """Heavy-body potential: coefficient times the cosine of the nutation."""
+    """Heavy-body potential: coefficient times the cosine of the nutation.
+
+    The returned callable carries its closed-form gradient as ``grad``.
+    """
 
     def v0(phi: float, theta: float) -> float:
         return coefficient * math.cos(theta)
 
+    def grad(phi: float, theta: float):
+        return 0.0, -coefficient * math.sin(theta)
+
+    v0.grad = grad
     return v0
 
 
@@ -100,32 +110,44 @@ def _metric_entry_derivatives(p: RigidBodyParams, phi: float, theta: float):
 def rb_system(p: RigidBodyParams) -> SymmetricSystem:
     """Adapted-chart system for the rigid body: n=2 shape (phi, theta), l=1.
 
-    The pole guard is min(theta, pi - theta).
+    The pole guard is min(theta, pi - theta).  The potential gradient is
+    exact for the free body and for a potential carrying ``grad``; other
+    potentials are differenced.
     """
 
+    # Both matrices are built from flat lists: faster than nested ones.
     def mass_matrix(q: np.ndarray) -> np.ndarray:
         k_pp, k_pt, k_ppsi, k_tt, k_tpsi, k_psipsi = _metric_entries(p, q[0], q[1])
         return np.array([
-            [k_pp, k_pt, k_ppsi],
-            [k_pt, k_tt, k_tpsi],
-            [k_ppsi, k_tpsi, k_psipsi],
-        ])
+            k_pp, k_pt, k_ppsi,
+            k_pt, k_tt, k_tpsi,
+            k_ppsi, k_tpsi, k_psipsi,
+        ]).reshape(3, 3)
 
     def mass_matrix_grad(q: np.ndarray) -> np.ndarray:
         return np.array([
-            [[0.0, 0.0, d_ppsi], [0.0, d_tt, d_tpsi], [d_ppsi, d_tpsi, d_psipsi]]
+            entry
             for d_ppsi, d_tt, d_tpsi, d_psipsi in _metric_entry_derivatives(p, q[0], q[1])
-        ])
+            for entry in (0.0, 0.0, d_ppsi, 0.0, d_tt, d_tpsi, d_ppsi, d_tpsi, d_psipsi)
+        ]).reshape(2, 3, 3)
 
     def potential(q: np.ndarray) -> float:
         return p.potential_value(q[0], q[1])
+
+    def potential_grad(q: np.ndarray) -> np.ndarray:
+        if p.potential is None:
+            return np.zeros(2)
+        return np.array(p.potential.grad(q[0], q[1]), dtype=float)
+
+    closed_grad = p.potential is None or hasattr(p.potential, "grad")
 
     def pole_guard(q: np.ndarray) -> float:
         return min(q[1], math.pi - q[1])
 
     return SymmetricSystem(n=2, k=0, l=1, mass_matrix=mass_matrix,
                            potential=potential, pole_guard=pole_guard,
-                           name="rigid-body", mass_matrix_grad=mass_matrix_grad)
+                           name="rigid-body", mass_matrix_grad=mass_matrix_grad,
+                           potential_grad=potential_grad if closed_grad else None)
 
 
 def _guard_theta(theta: float) -> None:

@@ -23,6 +23,7 @@ from routhkit import (
     cumulative_quadrature,
     harmonic_radial_potential,
     integrate_full,
+    integrate_grid,
     integrate_ode,
     integrate_reduced,
     momentum_map,
@@ -91,6 +92,20 @@ def test_max_steps_exceeded():
 def test_non_finite_derivative_rejected():
     with pytest.raises(StepFailure):
         integrate_ode(lambda y: np.array([np.nan]), [1.0], 0.0, 1.0, OSC_CFG)
+
+
+def blow_up_rhs(y):
+    with np.errstate(over="ignore"):
+        return np.array([y[1], 1e200 * y[0] ** 3])
+
+
+@pytest.mark.parametrize("run", [
+    lambda: integrate_ode(blow_up_rhs, [1.0, 0.0], 0.0, 1.0, IntegratorConfig(dt=0.1)),
+    lambda: integrate_grid(blow_up_rhs, [1.0, 0.0], [0.0, 0.5, 1.0], 0.1),
+], ids=["integrate_ode", "integrate_grid"])
+def test_blow_up_raises_step_failure(run):
+    with pytest.raises(StepFailure, match="non-finite state"):
+        run()
 
 
 def test_config_validation():

@@ -1,14 +1,19 @@
 """The Euler-Lagrange kernel shared by the reduced and full right-hand sides."""
 
+import warnings
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routhkit import (
+    ChartBoundary,
     ConformalData,
     MomentumValue,
+    NotPositiveDefinite,
     ReducedState,
     RigidBodyParams,
     central_force_system,
@@ -24,8 +29,9 @@ from routhkit import (
     shape_momentum,
     symplectic_det_pair,
 )
+from routhkit import reduction
 from routhkit.integrate import full_rhs
-from routhkit.reduction import gradient, metric_grad
+from routhkit.reduction import evaluate_metric, gradient, metric_grad, potential_grad
 from routhkit.verify import random_system
 
 
@@ -176,3 +182,159 @@ def test_conformal_grad_bit_identical_to_the_former_loop(rng):
             um[j] -= h
             former[j] = (float(potential(up)) - float(potential(um))) / (2.0 * h)
         assert np.array_equal(cd.grad(u), former)
+
+
+@pytest.mark.parametrize("potential", [None, heavy_potential(0.8)], ids=["free", "heavy"])
+def test_closed_form_potential_grad_matches_central_differences(potential, rng):
+    sys = rb_system(RigidBodyParams(1.0, 2.0, 3.0, potential=potential))
+    assert sys.potential_grad is not None
+    for q in chart_states(rng, sys, 25):
+        closed = potential_grad(sys, q)
+        numeric = gradient(sys.potential, q)
+        assert closed.shape == (2,)
+        if potential is None:
+            assert np.array_equal(closed, numeric)   # the central difference of 0
+        else:
+            assert np.max(np.abs(closed - numeric)) <= 1e-8
+
+
+def test_potential_grad_shape_is_checked(triaxial_system, zero_momentum, generic_state):
+    bad = replace(triaxial_system, potential_grad=lambda q: np.zeros(1))
+    with pytest.raises(ValueError, match="potential gradient"):
+        reduced_vector_field(bad, zero_momentum)(generic_state.to_vector())
+
+
+def test_potential_without_closed_gradient_is_differenced():
+    sys = rb_system(RigidBodyParams(1.0, 2.0, 3.0, potential=lambda phi, theta: theta ** 2))
+    assert sys.potential_grad is None
+    q = np.array([0.4, 1.2])
+    assert np.array_equal(potential_grad(sys, q), gradient(sys.potential, q))
+
+
+# ---------------------------------------------------------------------------
+# float path (d <= 3) against the numpy path written out
+
+
+def _numpy_accel(sys, q, v):
+    """Full acceleration on numpy, with the size of every summed term."""
+    n = sys.n
+    K = sys.mass_matrix(q)
+    T = metric_grad(sys, q) @ v
+    g = potential_grad(sys, q)
+    force = -(v[:n] @ T)
+    force[:n] += 0.5 * (T @ v) - g
+    terms = np.abs(v[:n]) @ np.abs(T)
+    terms[:n] += 0.5 * (np.abs(T) @ np.abs(v)) + np.abs(g)
+    return np.linalg.solve(K, force), np.abs(np.linalg.inv(K)) @ terms
+
+
+def _numpy_cyclic(sys, q, qdot, c):
+    n = sys.n
+    K = sys.mass_matrix(q)
+    return np.linalg.solve(K[n:, n:], c - K[n:, :n] @ qdot)
+
+
+_BODIES = [(1.0, 2.0, 3.0), (1.0, 1.5, 2.0), (2.0, 2.0, 3.0)]
+
+
+@st.composite
+def small_cases(draw):
+    """(system, momentum covector, q, qdot, cyclic velocities) with d <= 3."""
+    kind = draw(st.sampled_from(["rigid-body", "heavy-body", "random", "constant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind in ("rigid-body", "heavy-body"):
+        potential = heavy_potential(rng.uniform(-2.0, 2.0)) if kind == "heavy-body" else None
+        sys = rb_system(RigidBodyParams(*draw(st.sampled_from(_BODIES)), potential=potential))
+    else:
+        n, k, l = draw(st.sampled_from([(1, 1, 0), (1, 0, 1), (2, 0, 1), (2, 1, 0),
+                                        (1, 2, 0), (1, 1, 1), (1, 0, 2)]))
+        sys = random_system(rng, n=n, k=k, l=l, constant=kind == "constant")
+    q = next(chart_states(rng, sys, 1))
+    scale = draw(st.sampled_from([1e-3, 1.0, 10.0]))
+    return (sys, rng.normal(size=sys.n_cyclic) * scale, q,
+            rng.normal(size=sys.n) * scale, rng.normal(size=sys.n_cyclic) * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=small_cases())
+def test_float_path_matches_numpy_path(case):
+    sys, c, q, qdot, w = case
+    assert sys.dim <= reduction._FLOAT_MAX_DIM
+    f = MomentumValue(xi=c[:sys.k], eta=c[sys.k:])
+
+    # reduced right-hand side at momentum c
+    _, qddot = reduced_rhs(sys, f, ReducedState(q=q, qdot=qdot))
+    v = np.concatenate([qdot, _numpy_cyclic(sys, q, qdot, c)])
+    expected, size = _numpy_accel(sys, q, v)
+    assert np.all(np.abs(qddot - expected[:sys.n]) <= 1e-12 * size[:sys.n])
+
+    # full right-hand side at an arbitrary velocity
+    v = np.concatenate([qdot, w])
+    y = np.concatenate([q, np.zeros(sys.n_cyclic), v])
+    out = full_rhs(sys)(y)
+    expected, size = _numpy_accel(sys, q, v)
+    assert np.array_equal(out[:sys.dim], v)
+    assert np.all(np.abs(out[sys.dim:] - expected) <= 1e-12 * size)
+
+
+def _bad_metric(matrix):
+    return lambda: constant_matrix_system(len(matrix) - 1, 0, 1, matrix)
+
+
+@pytest.mark.parametrize("make, q, error", [
+    (_bad_metric([[2.0, 0.3], [0.1, 1.0]]), [0.0], NotPositiveDefinite),
+    (_bad_metric([[1.0, 0.0], [0.0, -1.0]]), [0.0], NotPositiveDefinite),
+    (_bad_metric([[1.0, 2.0], [2.0, 1.0]]), [0.0], NotPositiveDefinite),
+    (_bad_metric([[np.nan, 0.0], [0.0, 1.0]]), [0.0], NotPositiveDefinite),
+    (_bad_metric([[np.inf, 0.0], [0.0, 1.0]]), [0.0], NotPositiveDefinite),
+    (_bad_metric([[1.0, np.nan], [np.nan, 1.0]]), [0.0], NotPositiveDefinite),
+    (_bad_metric([[1.0, 0.0, 0.0], [0.0, 1.0, -np.inf], [0.0, -np.inf, 1.0]]), [0.0, 0.0],
+     NotPositiveDefinite),
+    (lambda: rb_system(RigidBodyParams(1.0, 2.0, 3.0)), [0.2, 5e-7], ChartBoundary),
+], ids=["asymmetric", "indefinite", "indefinite-offdiagonal", "nan-diagonal", "inf-diagonal",
+        "nan-offdiagonal", "inf-offdiagonal", "pole-band"])
+@pytest.mark.parametrize("path", ["float", "numpy"])
+def test_both_paths_raise_the_same_error(make, q, error, path, monkeypatch):
+    if path == "numpy":
+        monkeypatch.setattr(reduction, "_FLOAT_MAX_DIM", 0)
+    sys = make()
+    q = np.array(q)
+    y = np.concatenate([q, np.zeros(sys.n_cyclic), np.ones(sys.dim)])
+    f = MomentumValue(xi=np.ones(sys.k), eta=np.ones(sys.l))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            evaluate_metric(sys, q)
+        with pytest.raises(error):
+            reduced_vector_field(sys, f)(np.concatenate([q, np.ones(sys.n)]))
+        with pytest.raises(error):
+            full_rhs(sys)(y)
+
+
+def test_non_finite_metric_refused_on_the_numpy_path():
+    sys = constant_matrix_system(2, 1, 1, np.diag([1.0, 2.0, np.inf, 4.0]))
+    assert sys.dim > reduction._FLOAT_MAX_DIM
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotPositiveDefinite):
+            evaluate_metric(sys, np.zeros(2))
+
+
+def test_rigid_body_rhs_makes_no_linalg_calls(triaxial_system, zero_momentum, generic_state,
+                                              monkeypatch):
+    linalg_calls = []
+    for name in dir(np.linalg):
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            def counted(*args, _fn=fn, **kwargs):
+                linalg_calls.append(_fn)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+    s0 = complete_state(triaxial_system, zero_momentum, generic_state).to_vector()
+    linalg_calls.clear()
+
+    counted_sys, calls = _count_metric(triaxial_system)
+    reduced_vector_field(counted_sys, zero_momentum)(generic_state.to_vector())
+    assert (len(calls), linalg_calls) == (1, [])
+    full_rhs(counted_sys)(s0)
+    assert (len(calls), linalg_calls) == (2, [])

@@ -25,6 +25,7 @@ from routhkit import (
     rb_system,
     reconstruct,
     reduced_energy,
+    reduced_rhs,
     routhian,
     rotating_frame_residual,
     solve_cyclic,
@@ -201,6 +202,19 @@ def test_energy_decomposition_zero_momentum(rng):
         kinetic = kolosov_reduced_lagrangian(p_free, phi, theta, phidot, thetadot)
         e = reduced_energy(sys, f0, ReducedState(q=[phi, theta], qdot=[phidot, thetadot]))
         assert e == pytest.approx(kinetic + coeff * np.cos(theta), abs=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.4, 0.9, 1.3])
+def test_staude_permanent_rotation_is_a_reduced_equilibrium(theta):
+    # Heavy body at phi = pi/2: uniform precession psidot = w with
+    # w^2 = c / ((C - A) cos theta) at momentum eta = D w, D = A sin^2 + C cos^2.
+    A, B, C, c = 1.0, 2.0, 3.0, 0.8
+    sys = rb_system(RigidBodyParams(A, B, C, potential=heavy_potential(c)))
+    omega = np.sqrt(c / ((C - A) * np.cos(theta)))
+    D = A * np.sin(theta) ** 2 + C * np.cos(theta) ** 2
+    f = MomentumValue(xi=[], eta=[D * omega])
+    _, qddot = reduced_rhs(sys, f, ReducedState(q=[np.pi / 2, theta], qdot=[0.0, 0.0]))
+    assert np.max(np.abs(qddot)) <= 1e-14
 
 
 def test_heavy_body_energy_conserved():
