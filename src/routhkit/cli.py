@@ -17,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import config as cfgmod
-from .errors import ConfigError, RouthkitError
+from .errors import RouthkitError
 from .integrate import Trajectory, integrate_full, integrate_reduced, reconstruct
 from .trajectory_io import read_trajectory_csv, write_atomic, write_trajectory_csv
 from .verify import energy_drift, momentum_drift, report_dict, run_kolosov, run_verify
@@ -35,31 +35,29 @@ def _load(args) -> cfgmod.RunConfig:
     return cfgmod.load_config(args.config, overrides)
 
 
-def _output_path(cfg: cfgmod.RunConfig, default: str) -> str:
-    return cfg.output if cfg.output else default
-
-
-def _wrap_angles(traj: Trajectory, columns: List[int]) -> Trajectory:
-    """Presentation copy with angle columns reduced into [0, 2*pi)."""
+def _write_full(cfg: cfgmod.RunConfig, system, traj: Trajectory, default: str) -> str:
+    """Write a full trajectory with its angle coordinates wrapped into [0, 2*pi)."""
     states = traj.states.copy()
-    for col in columns:
-        states[:, col] = np.mod(states[:, col], TWO_PI)
-    return Trajectory(times=traj.times.copy(), states=states, meta=traj.meta)
+    angles = slice(system.n + system.k, system.dim)
+    states[:, angles] = np.mod(states[:, angles], TWO_PI)
+    path = cfg.output or default
+    write_trajectory_csv(path, Trajectory(times=traj.times, states=states, meta=traj.meta),
+                         cfgmod.state_labels(cfg, reduced=False))
+    return path
 
 
 def cmd_simulate_reduced(args) -> int:
     cfg = _load(args)
     system = cfgmod.build_system(cfg)
-    f = cfgmod.build_momentum(cfg)
-    r0 = cfgmod.initial_reduced_state(cfg)
-    traj = integrate_reduced(system, f, r0, 0.0, cfg.t_end, cfg.integrator)
+    traj = integrate_reduced(system, cfg.momentum, cfgmod.initial_reduced_state(cfg),
+                             0.0, cfg.t_end, cfg.integrator)
 
     e0 = traj.meta.energy0
     stride = max(1, traj.states.shape[0] // 500)
     # a rest start has E0 = 0, so the drift is relative to max(1, |E0|)
-    drift = energy_drift(system, f, traj, stride) / max(1.0, abs(e0))
+    drift = energy_drift(system, cfg.momentum, traj, stride) / max(1.0, abs(e0))
 
-    path = _output_path(cfg, "reduced.csv")
+    path = cfg.output or "reduced.csv"
     write_trajectory_csv(path, traj, cfgmod.state_labels(cfg, reduced=True))
     print(f"wrote {path}: {traj.times.size} samples over t=[0, {cfg.t_end}]")
     print(f"reduced energy E = {e0:.12g}, relative drift {drift:.3e}")
@@ -75,11 +73,7 @@ def cmd_simulate_full(args) -> int:
     j0 = traj.meta.momentum.as_vector()
     stride = max(1, traj.states.shape[0] // 500)
     drift = momentum_drift(system, traj, stride, traj.meta.momentum)
-    # angle coordinates are presented wrapped into [0, 2*pi)
-    angle_cols = list(range(system.n + system.k, system.dim))
-    path = _output_path(cfg, "full.csv")
-    write_trajectory_csv(path, _wrap_angles(traj, angle_cols),
-                         cfgmod.state_labels(cfg, reduced=False))
+    path = _write_full(cfg, system, traj, "full.csv")
     print(f"wrote {path}: {traj.times.size} samples over t=[0, {cfg.t_end}]")
     print(f"momentum J = {np.array2string(j0, precision=12)}, max drift {drift:.3e}")
     return EXIT_OK
@@ -88,15 +82,9 @@ def cmd_simulate_full(args) -> int:
 def cmd_reconstruct(args) -> int:
     cfg = _load(args)
     system = cfgmod.build_system(cfg)
-    f = cfgmod.build_momentum(cfg)
     red, _ = read_trajectory_csv(args.reduced)
-    full = reconstruct(system, f, red,
-                       x0=cfg.cyclic0_x if cfg.cyclic0_x.size else None,
-                       psi0=cfg.cyclic0_psi if cfg.cyclic0_psi.size else None)
-    angle_cols = list(range(system.n + system.k, system.dim))
-    path = _output_path(cfg, "reconstructed.csv")
-    write_trajectory_csv(path, _wrap_angles(full, angle_cols),
-                         cfgmod.state_labels(cfg, reduced=False))
+    full = reconstruct(system, cfg.momentum, red, x0=cfg.cyclic0_x, psi0=cfg.cyclic0_psi)
+    path = _write_full(cfg, system, full, "reconstructed.csv")
     print(f"wrote {path}: cyclic coordinates recovered by quadrature "
           f"({full.times.size} samples)")
     return EXIT_OK
@@ -112,13 +100,11 @@ def _print_results(results) -> bool:
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
-    if cfg.system != "rigid-body":
-        raise ConfigError("verify runs on the rigid-body system")
     params = cfgmod.build_params(cfg)
     r0 = cfgmod.initial_reduced_state(cfg)
-    results = run_verify(params, r0, t_end=cfg.t_end, dt=cfg.dt)
+    results = run_verify(params, r0, t_end=cfg.t_end, dt=cfg.integrator.dt)
     ok = _print_results(results)
-    path = _output_path(cfg, "verify_report.json")
+    path = cfg.output or "verify_report.json"
     write_atomic(path, json.dumps(report_dict(results, system=cfg.system), indent=2))
     print(("all checks passed" if ok else "some checks FAILED") + f"; report: {path}")
     return EXIT_OK if ok else EXIT_CONSISTENCY
@@ -126,14 +112,9 @@ def cmd_verify(args) -> int:
 
 def cmd_kolosov(args) -> int:
     cfg = _load(args)
-    if cfg.system != "rigid-body":
-        raise ConfigError("kolosov runs on the rigid-body system")
-    if cfg.potential_kind != "none":
-        raise ConfigError("the ellipsoid equivalence run expects a free body "
-                          "(potential kind none)")
     params = cfgmod.build_params(cfg)
     r0 = cfgmod.initial_reduced_state(cfg)
-    report = run_kolosov(params, r0, dt=cfg.dt, energy_target=cfg.energy_target)
+    report = run_kolosov(params, r0, dt=cfg.integrator.dt, energy_target=cfg.energy_target)
 
     print(f"energy constant h = {report.h:.12g}")
     print(f"comparison window: one equatorial section period = {report.window:.6g}")
@@ -146,10 +127,10 @@ def cmd_kolosov(args) -> int:
           f"average precession rate {report.lambda_avg:.6g}")
     ok = _print_results(report.results())
 
-    traj_path = _output_path(cfg, "ellipsoid.csv")
+    traj_path = cfg.output or "ellipsoid.csv"
     write_trajectory_csv(traj_path, report.image_tau,
                          ["x", "y", "z", "xdot", "ydot", "zdot"])
-    report_path = args.report if args.report else "kolosov_report.json"
+    report_path = args.report or "kolosov_report.json"
     payload = {**report_dict(report.results(), system=cfg.system),
                "h": report.h, "window": report.window, "sections": report.sections,
                "lambda": report.lambda_avg, "equatorial_period": report.equatorial_period}

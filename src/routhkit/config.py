@@ -15,62 +15,90 @@ consistent nondimensional units.  Example:
       cyclic0: {x: [], psi: [0.5]}
     output: reduced.csv
 
-See the README for the full key reference.
+Every rule that depends on the system (its dimensions, state labels,
+accepted potentials and builder) is one row of ``_SYSTEMS``.  See the
+README for the full key reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 import yaml
 
 from .errors import ConfigError
 from .integrate import IntegratorConfig
-from .reduction import FullState, MomentumValue, ReducedState, SymmetricSystem
+from .reduction import FullState, MomentumValue, ReducedState, SymmetricSystem, complete_state
 from .rigidbody import RigidBodyParams, heavy_potential, rb_system
 from .systems import central_force_system, constant_matrix_system, harmonic_radial_potential
 
-_SYSTEMS = ("rigid-body", "central-force", "custom-matrix")
-_POTENTIALS = ("none", "heavy", "harmonic")
+
+class _System(NamedTuple):
+    """What the choice of system fixes about a run."""
+
+    dims: Optional[Tuple[int, int, int]]   # (n, k, l); None reads them from custom:
+    labels: Optional[tuple]                # shape, line and angle names; None numbers them
+    potentials: dict                       # accepted kind -> constructor taking the coefficient
+    build: Callable[["RunConfig"], SymmetricSystem]
+
+
+def _rigid_body(cfg: "RunConfig") -> SymmetricSystem:
+    return rb_system(build_params(cfg))
+
+
+_SYSTEMS = {
+    "rigid-body": _System((2, 0, 1), (("phi", "theta"), (), ("psi",)),
+                          {"none": None, "heavy": heavy_potential}, _rigid_body),
+    "central-force": _System((1, 0, 1), (("r",), (), ("angle",)),
+                             {"none": None, "harmonic": harmonic_radial_potential},
+                             lambda cfg: central_force_system(_potential(cfg))),
+    "custom-matrix": _System(None, None, {"none": None},
+                             lambda cfg: constant_matrix_system(*_system_dims(cfg),
+                                                                cfg.custom["matrix"])),
+}
 
 
 @dataclass
 class RunConfig:
-    """Validated run settings."""
+    """Validated run settings.
+
+    Initial states and cyclic start values the configuration leaves out
+    are None; ``custom`` holds the parsed ``n``, ``k``, ``l`` and
+    ``matrix`` of a custom-matrix run.
+    """
 
     system: str
     inertia: tuple = (1.0, 2.0, 3.0)
     potential_kind: str = "none"
     potential_coefficient: float = 0.0
-    momentum_xi: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    momentum_eta: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    momentum: Optional[MomentumValue] = None
     energy_target: Optional[float] = None
     t_end: float = 10.0
-    dt: float = 1e-3
     integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
-    initial_reduced: Optional[dict] = None
-    initial_full: Optional[dict] = None
-    cyclic0_x: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    cyclic0_psi: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    initial_reduced: Optional[ReducedState] = None
+    initial_full: Optional[FullState] = None
+    cyclic0_x: Optional[np.ndarray] = None
+    cyclic0_psi: Optional[np.ndarray] = None
     output: Optional[str] = None
     custom: Optional[dict] = None
 
 
-def _as_floats(value, name: str) -> np.ndarray:
-    """A number or a flat list of numbers; booleans and nested lists are refused."""
+def _as_floats(value, name: str, ndim: int = 1) -> np.ndarray:
+    """Finite numbers nested at most ``ndim`` deep (flattened for 1); no booleans."""
     items = np.asarray([] if value is None else value, dtype=object)
-    _require(items.ndim <= 1 and not any(isinstance(v, (bool, np.bool_))
-                                         for v in items.reshape(-1)),
-             f"{name} must be a number or a flat list of numbers, got {value!r}")
+    what = "a number or a flat list of numbers" if ndim == 1 else "a matrix of numbers"
+    _require(items.ndim <= ndim and not any(isinstance(v, (bool, np.bool_))
+                                            for v in items.reshape(-1)),
+             f"{name} must be {what}, got {value!r}")
     try:
-        arr = items.astype(float).reshape(-1)
+        arr = items.astype(float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be numeric, got {value!r}") from exc
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{name} must be finite, got {value!r}")
-    return arr
+    return arr.reshape(-1) if ndim == 1 else arr
 
 
 def _as_float(value, name: str) -> float:
@@ -78,6 +106,23 @@ def _as_float(value, name: str) -> float:
     arr = _as_floats(value, name)
     _require(arr.size == 1, f"{name} must be one number, got {value!r}")
     return float(arr[0])
+
+
+def _as_whole(value, name: str, least: int) -> int:
+    """One whole number no smaller than ``least``."""
+    number = _as_float(value, name)
+    _require(number.is_integer() and number >= least,
+             f"{name} must be a whole number >= {least}, got {value!r}")
+    return int(number)
+
+
+def _sized(value, name: str, size: int, system: str, optional: bool = False):
+    """``size`` finite numbers; with ``optional``, an empty or absent list is None."""
+    arr = _as_floats(value, name)
+    if optional and arr.size == 0:
+        return None
+    _require(arr.size == size, f"{name} needs {size} entries for {system}, got {arr.size}")
+    return arr
 
 
 def _require(condition: bool, message: str) -> None:
@@ -108,38 +153,46 @@ def load_config(path: str, overrides: Optional[dict] = None) -> RunConfig:
 
 
 def parse_config(raw: dict) -> RunConfig:
+    """Validate a configuration mapping against its system's row; ConfigError if not."""
     known = {"system", "inertia", "potential", "momentum", "energy_target",
              "t_end", "dt", "integrator", "initial", "output", "custom"}
     unknown = set(raw) - known
     _require(not unknown, f"unknown config keys: {sorted(unknown)}")
 
     system = raw.get("system")
-    _require(system in _SYSTEMS, f"system must be one of {_SYSTEMS}, got {system!r}")
-
+    names = tuple(_SYSTEMS)
+    _require(system in names, f"system must be one of {names}, got {system!r}")
+    spec = _SYSTEMS[system]
     cfg = RunConfig(system=system)
 
+    if spec.dims is None:
+        custom = raw.get("custom")
+        _require(isinstance(custom, dict) and {"n", "k", "l", "matrix"} <= set(custom),
+                 f"{system} needs a custom: mapping with n, k, l and matrix")
+        cfg.custom = {"matrix": _as_floats(custom["matrix"], "custom.matrix", ndim=2)}
+        for key, least in (("n", 1), ("k", 0), ("l", 0)):
+            _require(np.asarray(custom[key], dtype=object).ndim == 0,
+                     f"custom.{key} must be one whole number, got {custom[key]!r}")
+            cfg.custom[key] = _as_whole(custom[key], f"custom.{key}", least)
+    n, k, l = _system_dims(cfg)
+
     if "inertia" in raw:
-        inertia = _as_floats(raw["inertia"], "inertia")
-        _require(inertia.size == 3, f"inertia needs 3 moments, got {inertia.size}")
-        cfg.inertia = tuple(inertia)
+        cfg.inertia = tuple(_sized(raw["inertia"], "inertia", 3, system))
 
     pot = raw.get("potential", {"kind": "none"}) or {"kind": "none"}
     _require(isinstance(pot, dict), "potential must be a mapping {kind, coefficient}")
     kind = pot.get("kind", "none")
-    _require(kind in _POTENTIALS, f"potential kind must be one of {_POTENTIALS}, got {kind!r}")
+    kinds = tuple(spec.potentials)
+    _require(kind in kinds, f"potential kind for {system} must be one of {kinds}, got {kind!r}")
     cfg.potential_kind = kind
     if kind != "none":
         _require("coefficient" in pot, f"potential kind {kind!r} needs a coefficient")
         cfg.potential_coefficient = _as_float(pot["coefficient"], "potential.coefficient")
-    _require(not (system == "rigid-body" and kind == "harmonic"),
-             "harmonic potential applies to the central-force system only")
-    _require(not (system == "central-force" and kind == "heavy"),
-             "heavy potential applies to the rigid-body system only")
 
     mom = raw.get("momentum", {}) or {}
     _require(isinstance(mom, dict), "momentum must be a mapping {xi, eta}")
-    cfg.momentum_xi = _as_floats(mom.get("xi"), "momentum.xi")
-    cfg.momentum_eta = _as_floats(mom.get("eta"), "momentum.eta")
+    cfg.momentum = MomentumValue(xi=_sized(mom.get("xi"), "momentum.xi", k, system),
+                                 eta=_sized(mom.get("eta"), "momentum.eta", l, system))
 
     if raw.get("energy_target") is not None:
         cfg.energy_target = _as_float(raw["energy_target"], "energy_target")
@@ -147,21 +200,16 @@ def parse_config(raw: dict) -> RunConfig:
                  f"energy_target must be positive, got {cfg.energy_target}")
     cfg.t_end = _as_float(raw.get("t_end", cfg.t_end), "t_end")
     _require(cfg.t_end > 0, f"t_end must be positive, got {cfg.t_end}")
-    cfg.dt = _as_float(raw.get("dt", cfg.dt), "dt")
-    _require(cfg.dt > 0, f"dt must be positive, got {cfg.dt}")
 
     integ = raw.get("integrator", {}) or {}
     _require(isinstance(integ, dict), "integrator must be a mapping")
-    max_steps = _as_float(integ.get("max_steps", 2_000_000), "integrator.max_steps")
-    _require(max_steps.is_integer(),
-             f"integrator.max_steps must be a whole number, got {max_steps}")
     try:
         cfg.integrator = IntegratorConfig(
             method=integ.get("method", "rk4"),
-            dt=cfg.dt,
+            dt=_as_float(raw.get("dt", cfg.integrator.dt), "dt"),
             abs_tol=_as_float(integ.get("abs_tol", 1e-12), "integrator.abs_tol"),
             rel_tol=_as_float(integ.get("rel_tol", 1e-12), "integrator.rel_tol"),
-            max_steps=int(max_steps),
+            max_steps=_as_whole(integ.get("max_steps", 2_000_000), "integrator.max_steps", 1),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -172,113 +220,66 @@ def parse_config(raw: dict) -> RunConfig:
         red = init["reduced"]
         _require(isinstance(red, dict) and "q" in red and "qdot" in red,
                  "initial.reduced needs q and qdot lists")
-        cfg.initial_reduced = {"q": _as_floats(red["q"], "initial.reduced.q"),
-                               "qdot": _as_floats(red["qdot"], "initial.reduced.qdot")}
+        cfg.initial_reduced = ReducedState(
+            q=_sized(red["q"], "initial.reduced.q", n, system),
+            qdot=_sized(red["qdot"], "initial.reduced.qdot", n, system))
     if "full" in init:
         full = init["full"]
         _require(isinstance(full, dict), "initial.full must be a mapping")
-        cfg.initial_full = {key: _as_floats(full.get(key), f"initial.full.{key}")
-                            for key in ("q", "x", "psi", "qdot", "xdot", "psidot")}
+        sizes = {"q": n, "x": k, "psi": l, "qdot": n, "xdot": k, "psidot": l}
+        cfg.initial_full = FullState(**{
+            key: _sized(full.get(key), f"initial.full.{key}", size, system)
+            for key, size in sizes.items()})
     if "cyclic0" in init:
         cyc = init["cyclic0"]
         _require(isinstance(cyc, dict), "initial.cyclic0 must be a mapping")
-        cfg.cyclic0_x = _as_floats(cyc.get("x"), "initial.cyclic0.x")
-        cfg.cyclic0_psi = _as_floats(cyc.get("psi"), "initial.cyclic0.psi")
+        cfg.cyclic0_x = _sized(cyc.get("x"), "initial.cyclic0.x", k, system, optional=True)
+        cfg.cyclic0_psi = _sized(cyc.get("psi"), "initial.cyclic0.psi", l, system,
+                                 optional=True)
 
     if raw.get("output") is not None:
         cfg.output = str(raw["output"])
-
-    if system == "custom-matrix":
-        custom = raw.get("custom")
-        _require(isinstance(custom, dict), "custom-matrix needs a custom: mapping")
-        for key in ("n", "k", "l", "matrix"):
-            _require(key in custom, f"custom needs {key}")
-        cfg.custom = custom
-
-    _validate_dimensions(cfg)
     return cfg
 
 
-def _system_dims(cfg: RunConfig):
-    if cfg.system == "rigid-body":
-        return 2, 0, 1
-    if cfg.system == "central-force":
-        return 1, 0, 1
-    return int(cfg.custom["n"]), int(cfg.custom["k"]), int(cfg.custom["l"])
+def _system_dims(cfg: RunConfig) -> Tuple[int, int, int]:
+    return _SYSTEMS[cfg.system].dims or (cfg.custom["n"], cfg.custom["k"], cfg.custom["l"])
 
 
-def _validate_dimensions(cfg: RunConfig) -> None:
-    n, k, l = _system_dims(cfg)
-    _require(cfg.momentum_xi.size == k,
-             f"momentum.xi needs {k} entries for {cfg.system}, got {cfg.momentum_xi.size}")
-    _require(cfg.momentum_eta.size == l,
-             f"momentum.eta needs {l} entries for {cfg.system}, got {cfg.momentum_eta.size}")
-    if cfg.initial_reduced is not None:
-        _require(cfg.initial_reduced["q"].size == n and cfg.initial_reduced["qdot"].size == n,
-                 f"initial.reduced needs {n} shape coordinates for {cfg.system}")
-    if cfg.initial_full is not None:
-        sizes = {"q": n, "x": k, "psi": l, "qdot": n, "xdot": k, "psidot": l}
-        for key, size in sizes.items():
-            _require(cfg.initial_full[key].size == size,
-                     f"initial.full.{key} needs {size} entries for {cfg.system}")
-    _require(cfg.cyclic0_x.size in (0, k), f"initial.cyclic0.x needs {k} entries")
-    _require(cfg.cyclic0_psi.size in (0, l), f"initial.cyclic0.psi needs {l} entries")
+def _potential(cfg: RunConfig):
+    make = _SYSTEMS[cfg.system].potentials[cfg.potential_kind]
+    return None if make is None else make(cfg.potential_coefficient)
 
 
-def build_params(cfg: RunConfig) -> Optional[RigidBodyParams]:
-    if cfg.system != "rigid-body":
-        return None
-    pot = heavy_potential(cfg.potential_coefficient) if cfg.potential_kind == "heavy" else None
-    return RigidBodyParams(*cfg.inertia, potential=pot)
+def build_params(cfg: RunConfig) -> RigidBodyParams:
+    """Rigid-body parameters of the run; ConfigError for any other system."""
+    _require(_SYSTEMS[cfg.system].build is _rigid_body,
+             f"this command runs on the rigid-body system, not {cfg.system}")
+    return RigidBodyParams(*cfg.inertia, potential=_potential(cfg))
 
 
 def build_system(cfg: RunConfig) -> SymmetricSystem:
     """Assemble the symmetric system selected by the configuration."""
-    if cfg.system == "rigid-body":
-        return rb_system(build_params(cfg))
-    if cfg.system == "central-force":
-        pot = None
-        if cfg.potential_kind == "harmonic":
-            pot = harmonic_radial_potential(cfg.potential_coefficient)
-        return central_force_system(pot)
-    return constant_matrix_system(int(cfg.custom["n"]), int(cfg.custom["k"]),
-                                  int(cfg.custom["l"]), cfg.custom["matrix"])
-
-
-def build_momentum(cfg: RunConfig) -> MomentumValue:
-    return MomentumValue(xi=cfg.momentum_xi, eta=cfg.momentum_eta)
+    return _SYSTEMS[cfg.system].build(cfg)
 
 
 def initial_reduced_state(cfg: RunConfig) -> ReducedState:
     _require(cfg.initial_reduced is not None, "config needs initial.reduced for this command")
-    return ReducedState(q=cfg.initial_reduced["q"], qdot=cfg.initial_reduced["qdot"])
+    return cfg.initial_reduced
 
 
 def initial_full_state(cfg: RunConfig, sys: SymmetricSystem) -> FullState:
+    """``initial.full``, or the reduced seed completed at the configured momentum."""
     if cfg.initial_full is not None:
-        init = cfg.initial_full
-        return FullState(q=init["q"], x=init["x"], psi=init["psi"],
-                         qdot=init["qdot"], xdot=init["xdot"], psidot=init["psidot"])
-    # complete a reduced seed with momentum-consistent cyclic velocities
-    from .reduction import complete_state
-    red = initial_reduced_state(cfg)
-    x0 = cfg.cyclic0_x if cfg.cyclic0_x.size else None
-    psi0 = cfg.cyclic0_psi if cfg.cyclic0_psi.size else None
-    return complete_state(sys, build_momentum(cfg), red, x=x0, psi=psi0)
+        return cfg.initial_full
+    return complete_state(sys, cfg.momentum, initial_reduced_state(cfg),
+                          x=cfg.cyclic0_x, psi=cfg.cyclic0_psi)
 
 
 def state_labels(cfg: RunConfig, reduced: bool) -> List[str]:
     """Column names: state components in declaration order."""
     n, k, l = _system_dims(cfg)
-    if cfg.system == "rigid-body":
-        pos, cyc_x, cyc_psi = ["phi", "theta"], [], ["psi"]
-    elif cfg.system == "central-force":
-        pos, cyc_x, cyc_psi = ["r"], [], ["angle"]
-    else:
-        pos = [f"q{i}" for i in range(n)]
-        cyc_x = [f"x{i}" for i in range(k)]
-        cyc_psi = [f"psi{i}" for i in range(l)]
-    if reduced:
-        return pos + [f"{c}dot" for c in pos]
-    return (pos + cyc_x + cyc_psi
-            + [f"{c}dot" for c in pos + cyc_x + cyc_psi])
+    pos, cyc_x, cyc_psi = _SYSTEMS[cfg.system].labels or (
+        [f"q{i}" for i in range(n)], [f"x{i}" for i in range(k)], [f"psi{i}" for i in range(l)])
+    coords = [*pos] if reduced else [*pos, *cyc_x, *cyc_psi]
+    return coords + [f"{c}dot" for c in coords]

@@ -202,9 +202,7 @@ def _metric_raw(sys: SymmetricSystem, q: np.ndarray) -> np.ndarray:
     guard_chart(sys, q)
     K = np.asarray(sys.mass_matrix(q), dtype=float)
     if K.shape != (sys.dim, sys.dim):
-        raise NotPositiveDefinite(
-            f"kinetic matrix must be ({sys.dim},{sys.dim}), got {K.shape}"
-        )
+        raise ValueError(f"kinetic matrix must be ({sys.dim},{sys.dim}), got {K.shape}")
     return K
 
 
@@ -291,6 +289,7 @@ def _checked_metric(sys: SymmetricSystem, q: np.ndarray):
         ChartBoundary: q is within the pole-guard distance of the boundary.
         NotPositiveDefinite: the matrix has a non-finite entry, is
             asymmetric beyond tolerance, or its Cholesky factorization fails.
+        ValueError: the matrix is not d x d.
     """
     K = _metric_raw(sys, q)
     if sys.dim <= _FLOAT_MAX_DIM:
@@ -316,6 +315,7 @@ def evaluate_metric(sys: SymmetricSystem, q) -> np.ndarray:
         ChartBoundary: q is within the pole-guard distance of the boundary.
         NotPositiveDefinite: the matrix has a non-finite entry, is
             asymmetric beyond tolerance, or a Cholesky factorization fails.
+        ValueError: the matrix is not d x d.
     """
     return _checked_metric(sys, np.asarray(q, dtype=float))[0]
 
@@ -468,13 +468,22 @@ def metric_grad(sys: SymmetricSystem, q: np.ndarray) -> np.ndarray:
 
     Uses the system's closed form when it supplies ``mass_matrix_grad``,
     otherwise central differences of the guarded metric.
+
+    Raises:
+        ChartBoundary: q is within the pole-guard distance of the boundary.
+        ValueError: the closed form is not (n, d, d).
     """
+    guard_chart(sys, q)
+    return _metric_grad(sys, q)
+
+
+def _metric_grad(sys: SymmetricSystem, q: np.ndarray) -> np.ndarray:
+    """``metric_grad`` at a q the caller has already guarded."""
     if sys.mass_matrix_grad is None:
         return gradient(lambda p: _metric_raw(sys, p), q)
-    guard_chart(sys, q)
     dK = np.asarray(sys.mass_matrix_grad(q), dtype=float)
     if dK.shape != (sys.n, sys.dim, sys.dim):
-        raise NotPositiveDefinite(
+        raise ValueError(
             f"kinetic matrix derivative must be ({sys.n},{sys.dim},{sys.dim}), got {dK.shape}"
         )
     return dK
@@ -498,13 +507,14 @@ def accel(sys: SymmetricSystem, q: np.ndarray, v: np.ndarray, K: np.ndarray,
           factor=None) -> np.ndarray:
     """Euler-Lagrange acceleration of the full system at (q, v).
 
-    d/dt (K v) = dL/dq with K = K(q) already validated: the cyclic rows
-    carry no force, the shape rows carry 0.5 v.(dK/dq_a) v - dV/dq_a.
+    d/dt (K v) = dL/dq with K = K(q) already validated, which also guarded
+    q: the cyclic rows carry no force, the shape rows carry
+    0.5 v.(dK/dq_a) v - dV/dq_a.
     ``factor`` is K's cyclic-first float Cholesky factor from
     ``_checked_metric``; without it the solve goes through numpy.
     """
     n = sys.n
-    T = metric_grad(sys, q) @ v          # T[b] = (dK/dq_b) v
+    T = _metric_grad(sys, q) @ v         # T[b] = (dK/dq_b) v
     force = -(v[:n] @ T)
     force[:n] += 0.5 * (T @ v) - potential_grad(sys, q)
     if factor is None:

@@ -24,7 +24,7 @@ from .ellipsoid import (
     kolosov_velocity,
     principal_section_orbits,
 )
-from .errors import ConfigError, NotPositiveDefinite, SpanTooShort
+from .errors import ConfigError, InvalidParams, NotPositiveDefinite, SpanTooShort
 from .integrate import (
     IntegratorConfig,
     Trajectory,
@@ -227,11 +227,7 @@ def projection_equivalence_check(params: RigidBodyParams, r0: ReducedState,
     rec = reconstruct(sys, f0, red, x0=None, psi0=[_PROJECTION_PSI0])
     psi_gap = float(np.max(np.abs(rec.states[:, 2] - full.states[:, 2])))
 
-    worst_mom = 0.0
-    for row in rec.states[:: max(1, rec.states.shape[0] // 200)]:
-        st = FullState(q=row[:2], x=[], psi=[row[2]], qdot=row[3:5], xdot=[],
-                       psidot=[row[5]])
-        worst_mom = max(worst_mom, float(np.max(np.abs(momentum_map(sys, st).as_vector()))))
+    worst_mom = momentum_drift(sys, rec, max(1, rec.states.shape[0] // 200), f0)
 
     return [
         _result("projection-equivalence", gap, _PROJECTION_TOL, f"t_end={t_end}, dt={dt}"),
@@ -337,7 +333,13 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
     The energy constant is taken from the initial state unless
     ``energy_target`` rescales the initial velocity first.  The comparison
     window is one period of the equatorial section orbit in rescaled time.
+
+    Raises:
+        InvalidParams: ``params`` carries a potential; the run covers the
+            free body only.
     """
+    if params.potential is not None:
+        raise InvalidParams("the ellipsoid equivalence run expects a free body (no potential)")
     sys = rb_system(params)
     f0 = MomentumValue.zero(0, 1)
     if energy_target is not None:

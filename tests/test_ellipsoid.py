@@ -21,6 +21,7 @@ from routhkit import (
     constrained_rhs,
     cumulative_quadrature,
     dsigma_length,
+    heavy_potential,
     integrate_ode,
     kolosov_angles,
     kolosov_map,
@@ -424,6 +425,15 @@ def test_flow_match_covers_the_whole_window():
                       dt=1e-2, energy_target=20.0)
     assert rep.image_tau.times[-1] >= rep.window
     assert all(r.passed for r in rep.results())
+
+
+def test_run_kolosov_refuses_a_heavy_body():
+    # the equivalence run covers the free body only; without the refusal this
+    # heavy body meets the chart boundary mid-run
+    params = RigidBodyParams(1.0, 2.0, 3.0, potential=heavy_potential(0.05))
+    with pytest.raises(InvalidParams, match="free body"):
+        run_kolosov(params, ReducedState(q=[0.7, 1.1], qdot=[0.4, 0.15]),
+                    dt=1e-2, energy_target=20.0)
 
 
 def test_energy_below_potential_refused(triaxial):

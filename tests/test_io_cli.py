@@ -11,8 +11,12 @@ import yaml
 from routhkit import (
     ConfigError,
     MomentumValue,
+    ReducedState,
+    RigidBodyParams,
     Trajectory,
     TrajectoryMeta,
+    complete_state,
+    rb_system,
 )
 from routhkit import errors
 from routhkit.cli import main
@@ -21,6 +25,7 @@ from routhkit.trajectory_io import read_trajectory_csv, write_trajectory_csv
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "routhkit",
                            "schemas", "verify_report.schema.json")
+README_PATH = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def base_config(**overrides):
@@ -106,7 +111,29 @@ def test_config_parses_defaults(tmp_path):
     assert cfg.system == "rigid-body"
     assert cfg.inertia == (1.0, 2.0, 3.0)
     assert cfg.integrator.method == "rk4"
-    assert cfg.momentum_eta.shape == (1,)
+    assert cfg.momentum.eta.shape == (1,)
+
+
+def test_readme_example_config_parses():
+    with open(README_PATH) as handle:
+        text = handle.read()
+    block = text.split("### Configuration", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config(yaml.safe_load(block))
+    assert cfg.system == "rigid-body"
+    assert cfg.initial_reduced is not None
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config"),
+    ("system: [rigid-body\n", "is not valid YAML"),
+    ("- rigid-body\n", "must be a mapping"),
+], ids=["missing-file", "invalid-yaml", "list-top-level"])
+def test_cli_unloadable_config_exit_2(tmp_path, capsys, content, message):
+    path = tmp_path / "run.yaml"
+    if content is not None:
+        path.write_text(content)
+    assert main(["simulate-reduced", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -126,9 +153,21 @@ def test_config_rejects_dimension_mismatch(tmp_path):
         load_config(write_config(tmp_path, cfg))
 
 
+def custom_config(**custom):
+    """A valid custom-matrix config with keys of its custom: block replaced."""
+    return {
+        "system": "custom-matrix",
+        "momentum": {"xi": [0.5], "eta": []},
+        "initial": {"reduced": {"q": [0.0], "qdot": [1.0]}},
+        "custom": {"n": 1, "k": 1, "l": 0, "matrix": [[2.0, 1.0], [1.0, 3.0]], **custom},
+    }
+
+
 def test_config_rejects_wrong_potential_pairing():
     with pytest.raises(ConfigError):
         parse_config(base_config(potential={"kind": "harmonic", "coefficient": 1.0}))
+    with pytest.raises(ConfigError):
+        parse_config({**custom_config(), "potential": {"kind": "heavy", "coefficient": 5.0}})
 
 
 def test_config_custom_matrix_system():
@@ -175,6 +214,27 @@ def test_cli_simulate_reduced_and_full_and_reconstruct(tmp_path, capsys):
     # presentation keeps the precession angle inside [0, 2 pi)
     assert np.all(full.states[:, 2] >= 0.0)
     assert np.all(full.states[:, 2] < 2 * np.pi)
+
+
+def test_cli_simulate_full_from_initial_full(tmp_path, capsys):
+    # initial.full set to the completed reduced seed reproduces the seeded run
+    s0 = complete_state(rb_system(RigidBodyParams(1.0, 2.0, 3.0)), MomentumValue.zero(0, 1),
+                        ReducedState(q=[0.7, 1.1], qdot=[0.4, 0.15]), psi=[0.5])
+    given = base_config()
+    given["initial"] = {"full": {key: getattr(s0, key).tolist()
+                                 for key in ("q", "x", "psi", "qdot", "xdot", "psidot")}}
+    runs = []
+    for name, cfg in (("seeded", base_config()), ("given", given)):
+        out = str(tmp_path / f"{name}.csv")
+        assert main(["simulate-full", "--config", write_config(tmp_path, cfg, f"{name}.yaml"),
+                     "--output", out]) == 0
+        runs.append(read_trajectory_csv(out)[0].states)
+    assert np.array_equal(runs[0], runs[1])
+    capsys.readouterr()
+
+    given["initial"]["full"]["psi"] = [0.5, 0.1]
+    assert main(["simulate-full", "--config", write_config(tmp_path, given, "bad.yaml")]) == 2
+    assert "error: initial.full.psi" in capsys.readouterr().err
 
 
 def test_cli_zero_velocity_start_constant_file(tmp_path, capsys):
@@ -245,6 +305,16 @@ def test_cli_kolosov_refuses_energy_below_potential(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("verb", ["verify", "kolosov"])
+def test_cli_rigid_body_verbs_refuse_central_force(tmp_path, capsys, verb):
+    cfg_path = write_config(tmp_path, {
+        "system": "central-force", "momentum": {"xi": [], "eta": [1.0]},
+        "initial": {"reduced": {"q": [1.0], "qdot": [0.0]}}})
+    assert main([verb, "--config", cfg_path, "--output", str(tmp_path / "out")]) == 2
+    assert "rigid-body" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 @pytest.mark.parametrize("target", [-1.0, 0.0, float("nan"), float("inf")])
 def test_config_rejects_bad_energy_target(target):
     with pytest.raises(ConfigError, match="energy_target"):
@@ -260,8 +330,12 @@ def test_config_rejects_bad_energy_target(target):
     ({"potential": {"kind": "heavy", "coefficient": float("nan")}}, "potential.coefficient"),
     ({"integrator": {"method": "rk4", "max_steps": float("inf")}}, "integrator.max_steps"),
     ({"integrator": {"method": "rk45", "abs_tol": [1, 2]}}, "integrator.abs_tol"),
+    (custom_config(n="abc"), "custom.n"),
+    (custom_config(matrix=[[2.0, "x"], [0.0, 1.0]]), "custom.matrix"),
+    (custom_config(matrix="abc"), "custom.matrix"),
 ], ids=["t_end-inf", "t_end-text", "dt-text", "dt-list", "coefficient-text",
-        "coefficient-nan", "max_steps-inf", "abs_tol-list"])
+        "coefficient-nan", "max_steps-inf", "abs_tol-list", "custom-n-text",
+        "custom-matrix-entry-text", "custom-matrix-text"])
 def test_config_rejects_non_numeric_scalars(tmp_path, capsys, overrides, key):
     cfg = base_config(**overrides)
     with pytest.raises(ConfigError, match=key):
@@ -276,7 +350,11 @@ def test_config_rejects_non_numeric_scalars(tmp_path, capsys, overrides, key):
     ({"momentum": {"xi": [], "eta": [False]}}, "momentum.eta"),
     ({"integrator": {"method": "rk4", "max_steps": 2.5}}, "integrator.max_steps"),
     ({"integrator": {"method": "rk4", "max_steps": 0.5}}, "integrator.max_steps"),
-], ids=["dt-bool", "t_end-nested", "eta-bool", "max_steps-2.5", "max_steps-0.5"])
+    (custom_config(n=[1]), "custom.n"),
+    (custom_config(n=1.5), "custom.n"),
+    (custom_config(n=True), "custom.n"),
+], ids=["dt-bool", "t_end-nested", "eta-bool", "max_steps-2.5", "max_steps-0.5",
+        "custom-n-list", "custom-n-1.5", "custom-n-bool"])
 def test_config_rejects_booleans_nested_lists_and_fractional_steps(tmp_path, capsys,
                                                                    overrides, key):
     cfg = base_config(**overrides)

@@ -16,6 +16,7 @@ from routhkit import (
     NotPositiveDefinite,
     ReducedState,
     RigidBodyParams,
+    SymmetricSystem,
     central_force_system,
     complete_state,
     constant_matrix_system,
@@ -139,6 +140,36 @@ def test_closed_form_rhs_evaluates_the_metric_once(triaxial_system, zero_momentu
     s0 = complete_state(triaxial_system, zero_momentum, generic_state)
     full_rhs(counted)(s0.to_vector())
     assert len(calls) == 2
+
+
+def test_rhs_guards_the_chart_once(triaxial_system, zero_momentum, generic_state):
+    calls = []
+
+    def guard(q):
+        calls.append(1)
+        return triaxial_system.pole_guard(q)
+
+    counted = replace(triaxial_system, pole_guard=guard)
+    reduced_vector_field(counted, zero_momentum)(generic_state.to_vector())
+    assert len(calls) == 1
+    s0 = complete_state(triaxial_system, zero_momentum, generic_state)
+    full_rhs(counted)(s0.to_vector())
+    assert len(calls) == 2
+    with pytest.raises(ChartBoundary):
+        metric_grad(triaxial_system, np.array([0.2, 5e-7]))
+
+
+@pytest.mark.parametrize("field, expected", [
+    ("mass_matrix", r"\(2,2\), got \(3, 3\)"),
+    ("mass_matrix_grad", r"\(1,2,2\), got \(3, 3\)"),
+])
+def test_wrong_shape_metric_is_a_value_error(field, expected):
+    sys = SymmetricSystem(n=1, k=0, l=1, mass_matrix=lambda q: np.eye(2),
+                          potential=lambda q: 0.0,
+                          mass_matrix_grad=lambda q: np.zeros((1, 2, 2)))
+    sys = replace(sys, **{field: lambda q: np.eye(3)})
+    with pytest.raises(ValueError, match=expected):
+        full_rhs(sys)(np.array([1.0, 0.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("evaluate, expected", [

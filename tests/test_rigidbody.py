@@ -274,8 +274,9 @@ def test_lambda_endpoint_consistency_on_periodic_orbit(triaxial_params,
 # rotating_frame_residual
 
 
-def _synthetic_full(lam, T, psi0=0.4, samples_per_period=400):
-    t = np.linspace(0.0, 2 * T, 2 * samples_per_period + 1)
+def _synthetic_full(lam, T, psi0=0.4, samples_per_period=400, t=None):
+    if t is None:
+        t = np.linspace(0.0, 2 * T, 2 * samples_per_period + 1)
     phi = 0.3 * np.sin(2 * np.pi * t / T)
     theta = np.pi / 2 + 0.2 * np.cos(2 * np.pi * t / T)
     psi = psi0 + lam * t + 0.1 * np.sin(2 * np.pi * t / T)
@@ -296,6 +297,22 @@ def test_rotating_frame_invariant_under_psi_shift():
 
 def test_rotating_frame_detects_wrong_rate():
     assert rotating_frame_residual(_synthetic_full(0.37, 1.5), 0.9, 1.5) > 1e-2
+
+
+def test_rotating_frame_interpolates_on_a_non_uniform_grid():
+    lam, T = 0.37, 1.5
+    s = np.linspace(0.0, 1.0, 801)
+    t = 2 * T * (s + 0.3 * np.sin(2 * np.pi * s) / (2 * np.pi))   # steps vary by +-30 %
+    # linear interpolation errs by at most h^2 max|chi''| / 8; chi'' is the
+    # second derivative of (phi, theta, psi - lam t) of _synthetic_full
+    w = 2 * np.pi / T
+    fine = np.linspace(0.0, 2 * T, 20001)
+    chi2 = np.concatenate([0.3 * w ** 2 * np.sin(w * fine), 0.2 * w ** 2 * np.cos(w * fine),
+                           0.1 * w ** 2 * np.sin(w * fine)])
+    bound = np.max(np.diff(t)) ** 2 * np.max(np.abs(chi2)) / 8
+    full = _synthetic_full(lam, T, t=t)
+    assert 0.0 < rotating_frame_residual(full, lam, T) < bound
+    assert rotating_frame_residual(full, 0.9, T) > 1e-2
 
 
 def test_rotating_frame_span_too_short():
