@@ -174,6 +174,10 @@ def parse_config(raw: dict) -> RunConfig:
             _require(np.asarray(custom[key], dtype=object).ndim == 0,
                      f"custom.{key} must be one whole number, got {custom[key]!r}")
             cfg.custom[key] = _as_whole(custom[key], f"custom.{key}", least)
+        d = cfg.custom["n"] + cfg.custom["k"] + cfg.custom["l"]
+        shape = cfg.custom["matrix"].shape
+        _require(shape == (d, d), f"custom.matrix must be {d}x{d} for n + k + l = {d}, "
+                                  f"got shape {shape}")
     n, k, l = _system_dims(cfg)
 
     if "inertia" in raw:

@@ -184,12 +184,11 @@ def kolosov_potential(p: RigidBodyParams, cd: ConformalData, u) -> float:
     return conformal_factor(p, u) * (cd.value(np.asarray(u, dtype=float)) - cd.h)
 
 
-def project_to_surface(p: RigidBodyParams, u, udot):
-    """Project a point onto the constraint along its gradient and the
-    velocity onto the tangent plane."""
+def _project(p: RigidBodyParams, state) -> list:
+    """Six floats (u, udot) projected: the point onto the constraint along
+    its gradient, the velocity onto the tangent plane there."""
     A, B, C = p.A, p.B, p.C
-    x, y, z = np.asarray(u, dtype=float).tolist()
-    vx, vy, vz = np.asarray(udot, dtype=float).tolist()
+    x, y, z, vx, vy, vz = state
     for _ in range(3):
         res = A * x * x + B * y * y + C * z * z - 1.0
         if abs(res) < 1e-15:
@@ -201,22 +200,31 @@ def project_to_surface(p: RigidBodyParams, u, udot):
         z -= res * gz / gn2
     gx, gy, gz = 2.0 * A * x, 2.0 * B * y, 2.0 * C * z
     k = (gx * vx + gy * vy + gz * vz) / (gx * gx + gy * gy + gz * gz)
-    return np.array([x, y, z]), np.array([vx - k * gx, vy - k * gy, vz - k * gz])
+    return [x, y, z, vx - k * gx, vy - k * gy, vz - k * gz]
 
 
-def _accel(p: RigidBodyParams, cd: ConformalData, u: np.ndarray, udot: np.ndarray,
-           physical_time: bool):
+def project_to_surface(p: RigidBodyParams, u, udot):
+    """Project a point onto the constraint along its gradient and the
+    velocity onto the tangent plane."""
+    out = _project(p, np.asarray(u, dtype=float).tolist()
+                   + np.asarray(udot, dtype=float).tolist())
+    return np.array(out[:3]), np.array(out[3:])
+
+
+def _accel(p: RigidBodyParams, cd: ConformalData, u, udot, physical_time: bool):
     """Constrained acceleration and multiplier; no surface checks.
 
     Explicit integrator stage points sit slightly off the surface, so the
     flow evaluates this formula directly; the public operation wraps it in
-    the contract checks.  The 3-vector algebra runs on Python floats, and
-    products rather than powers let a huge state overflow to inf instead
-    of raising.
+    the contract checks.  ``u`` and ``udot`` are three floats each; the
+    algebra runs on them directly and returns the acceleration as a list
+    of three floats.  Products rather than powers let a huge state
+    overflow to inf instead of raising.  A potential is handed an array
+    point, built only when there is one.
     """
     A, B, C = p.A, p.B, p.C
-    x, y, z = u.tolist()
-    vx, vy, vz = udot.tolist()
+    x, y, z = u
+    vx, vy, vz = udot
     abc = A * B * C
     gx, gy, gz = 2.0 * A * x, 2.0 * B * y, 2.0 * C * z
     # conformal factor a = abc / s and its gradient c * (ex, ey, ez)
@@ -225,7 +233,11 @@ def _accel(p: RigidBodyParams, cd: ConformalData, u: np.ndarray, udot: np.ndarra
     factor = abc / s
     c = -2.0 * factor * factor / abc
     free = cd.potential is None
-    fx, fy, fz = (0.0, 0.0, 0.0) if free else cd.grad(u).tolist()
+    if free:
+        fx, fy, fz = 0.0, 0.0, 0.0
+    else:
+        point = np.array([x, y, z])
+        fx, fy, fz = cd.grad(point).tolist()
     if physical_time:
         # w = T grad(a) - (grad(a) . udot) udot - grad(V)
         a, inv_a = factor, s / abc
@@ -238,7 +250,7 @@ def _accel(p: RigidBodyParams, cd: ConformalData, u: np.ndarray, udot: np.ndarra
     else:
         # w = -grad(a (V - h))
         a, inv_a = 1.0, 1.0
-        dv = (-cd.h if free else cd.value(u) - cd.h) * c
+        dv = (-cd.h if free else cd.value(point) - cd.h) * c
         wx = -(dv * ex + factor * fx)
         wy = -(dv * ey + factor * fy)
         wz = -(dv * ez + factor * fz)
@@ -246,8 +258,7 @@ def _accel(p: RigidBodyParams, cd: ConformalData, u: np.ndarray, udot: np.ndarra
     # second derivative of the constraint: g . uddot + udot^T Hess(Phi) udot = 0
     hess_term = 2.0 * (A * vx * vx + B * vy * vy + C * vz * vz)
     lam = -(a * hess_term + gx * wx + gy * wy + gz * wz) / (gx * gx + gy * gy + gz * gz)
-    return np.array([(wx + lam * gx) * inv_a, (wy + lam * gy) * inv_a,
-                     (wz + lam * gz) * inv_a]), lam
+    return [(wx + lam * gx) * inv_a, (wy + lam * gy) * inv_a, (wz + lam * gz) * inv_a], lam
 
 
 def constrained_rhs(p: RigidBodyParams, cd: ConformalData, s: EllipsoidState,
@@ -277,8 +288,8 @@ def constrained_rhs(p: RigidBodyParams, cd: ConformalData, s: EllipsoidState,
         raise TangencyViolation(
             f"velocity tangency defect {tangency:.3e} beyond tolerance"
         )
-    uddot, lam = _accel(p, cd, u, udot, physical_time)
-    return udot.copy(), uddot, lam
+    uddot, lam = _accel(p, cd, u.tolist(), udot.tolist(), physical_time)
+    return udot.copy(), np.array(uddot), lam
 
 
 def conformal_energy(p: RigidBodyParams, cd: ConformalData, s: EllipsoidState,
@@ -291,19 +302,23 @@ def conformal_energy(p: RigidBodyParams, cd: ConformalData, s: EllipsoidState,
 
 
 def _flow_rhs(p: RigidBodyParams, cd: ConformalData, physical_time: bool = False):
-    def rhs(y: np.ndarray) -> np.ndarray:
-        out = np.empty(6)
-        out[:3] = y[3:]
-        out[3:], _ = _accel(p, cd, y[:3], y[3:], physical_time)
-        return out
+    """The constrained flow as an ``integrate_ode`` right-hand side: six
+    floats (u, udot) in, a list of six floats out."""
+    def rhs(y) -> list:
+        if not isinstance(y, list):  # direct callers may pass an array
+            y = np.asarray(y, dtype=float).tolist()
+        udot = y[3:]
+        uddot, _ = _accel(p, cd, y[:3], udot, physical_time)
+        return udot + uddot
 
     return rhs
 
 
 def _flow_project(p: RigidBodyParams):
-    def project(y: np.ndarray) -> np.ndarray:
-        u, udot = project_to_surface(p, y[:3], y[3:])
-        return np.concatenate([u, udot])
+    """Surface projection as an ``integrate_ode`` projection: six floats in,
+    a list of six floats out."""
+    def project(y) -> list:
+        return _project(p, y)
 
     return project
 

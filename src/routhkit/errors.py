@@ -58,7 +58,7 @@ class NonPositiveFactor(RouthkitError):
 
 
 class MomentumMismatch(RouthkitError):
-    """Trajectory metadata carries a different momentum value than requested."""
+    """Trajectory metadata does not match the requested system or momentum."""
 
     exit_code = 4
 

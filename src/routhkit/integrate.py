@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -112,44 +112,77 @@ class PeriodicOrbit:
             raise ValueError("period must be positive")
 
 
-def _rk4_step(rhs, y: np.ndarray, h: float) -> np.ndarray:
+def _rk4_step(rhs, y, h: float) -> list:
+    """One classical RK4 step on a float sequence, component by component.
+
+    Stages combine as ``y + 0.5*h*k`` and ``y + (h/6)*(k1 + 2k2 + 2k3 + k4)``,
+    the operation order of the array formula, so results are bit-identical
+    to it.
+    """
+    hh = 0.5 * h
     k1 = rhs(y)
-    k2 = rhs(y + 0.5 * h * k1)
-    k3 = rhs(y + 0.5 * h * k2)
-    k4 = rhs(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = rhs([a + hh * b for a, b in zip(y, k1)])
+    k3 = rhs([a + hh * b for a, b in zip(y, k2)])
+    k4 = rhs([a + h * b for a, b in zip(y, k3)])
+    h6 = h / 6.0
+    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-# Dormand-Prince 5(4) tableau: stage matrix (row i feeds stage i), the
-# fifth-order weights and the error weights b5 - b4.
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-                   -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_B5 - _DP_B4
+def _dp_step(rhs, y, h: float, k1):
+    """One Dormand-Prince 5(4) trial step; returns (y5, error_vector, k_last).
+
+    The tableau is written out per component with its zero entries left
+    out.  The last stage row equals the fifth-order weights, so the last
+    stage is evaluated at y5 itself (first-same-as-last), and the error
+    weights are b5 - b4.
+    """
+    k2 = rhs([a + h * (1 / 5 * b1) for a, b1 in zip(y, k1)])
+    k3 = rhs([a + h * (3 / 40 * b1 + 9 / 40 * b2) for a, b1, b2 in zip(y, k1, k2)])
+    k4 = rhs([a + h * (44 / 45 * b1 - 56 / 15 * b2 + 32 / 9 * b3)
+              for a, b1, b2, b3 in zip(y, k1, k2, k3)])
+    k5 = rhs([a + h * (19372 / 6561 * b1 - 25360 / 2187 * b2 + 64448 / 6561 * b3
+                       - 212 / 729 * b4)
+              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+    k6 = rhs([a + h * (9017 / 3168 * b1 - 355 / 33 * b2 + 46732 / 5247 * b3 + 49 / 176 * b4
+                       - 5103 / 18656 * b5)
+              for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)])
+    y5 = [a + h * (35 / 384 * b1 + 500 / 1113 * b3 + 125 / 192 * b4 - 2187 / 6784 * b5
+                   + 11 / 84 * b6)
+          for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(y5)
+    err = [h * ((35 / 384 - 5179 / 57600) * b1 + (500 / 1113 - 7571 / 16695) * b3
+                + (125 / 192 - 393 / 640) * b4 + (-2187 / 6784 + 92097 / 339200) * b5
+                + (11 / 84 - 187 / 2100) * b6 - 1 / 40 * b7)
+           for b1, b3, b4, b5, b6, b7 in zip(k1, k3, k4, k5, k6, k7)]
+    return y5, err, k7
 
 
-def _dp_step(rhs, y, h, k1):
-    """One Dormand-Prince trial step; returns (y5, error_vector, k_last)."""
-    k = np.empty((7, y.size))
-    k[0] = k1
-    for i in range(1, 7):
-        k[i] = rhs(y + h * (_DP_A[i, :i] @ k[:i]))
-    return y + h * (_DP_B5 @ k), h * (_DP_E @ k), k[6]
+def _finite(y) -> bool:
+    return all(map(math.isfinite, y))
 
 
-def integrate_ode(rhs: Callable[[np.ndarray], np.ndarray], s0, t0: float, t1: float,
+def _rk4_advance(rhs, y, h: float, project):
+    """One RK4 step, projected when ``project`` is given; None when the
+    state is not finite or the float arithmetic overflowed (a Python float
+    power raises OverflowError where an array would give inf)."""
+    try:
+        y = _rk4_step(rhs, y, h)
+        if project is not None:
+            y = project(y)
+    except OverflowError:
+        return None
+    return y if _finite(y) else None
+
+
+def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: float,
                   cfg: IntegratorConfig,
-                  project: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> Trajectory:
+                  project: Optional[Callable[[list], Sequence[float]]] = None) -> Trajectory:
     """Integrate ds/dt = rhs(s) over [t0, t1], recording every accepted step.
+
+    The stepping runs on Python floats: ``rhs`` and ``project`` are handed
+    the state as a list of floats and may return any sequence of floats
+    (a list or a 1-D array).
 
     Args:
         rhs: autonomous state derivative.
@@ -160,12 +193,14 @@ def integrate_ode(rhs: Callable[[np.ndarray], np.ndarray], s0, t0: float, t1: fl
             step (used by constrained surface flows).
 
     Raises:
-        StepFailure: step size underflow or non-finite derivative.
+        StepFailure: step size underflow, or a non-finite (or overflowing)
+            derivative or state.
         MaxStepsExceeded: step budget exhausted.
     """
-    y = np.asarray(s0, dtype=float).copy()
+    y = np.asarray(s0, dtype=float).tolist()
+    t0, t1 = float(t0), float(t1)
     k1 = rhs(y)
-    if not np.isfinite(k1).all():
+    if not _finite(k1):
         raise StepFailure("non-finite derivative at the initial state")
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
@@ -178,22 +213,21 @@ def integrate_ode(rhs: Callable[[np.ndarray], np.ndarray], s0, t0: float, t1: fl
         h = span / n_steps
         times = t0 + (span / n_steps) * np.arange(n_steps + 1)
         times[-1] = t1
-        states = np.empty((n_steps + 1, y.size))
+        states = np.empty((n_steps + 1, len(y)))
         states[0] = y
         for i in range(n_steps):
-            y = _rk4_step(rhs, y, h)
-            if project is not None:
-                y = project(y)
-            if not np.isfinite(y).all():
+            y = _rk4_advance(rhs, y, h, project)
+            if y is None:
                 raise StepFailure(f"non-finite state at t={times[i + 1]:.6g}")
             states[i + 1] = y
         return Trajectory(times=times, states=states)
 
     # rk45
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
     t = t0
-    h = min(cfg.dt, t1 - t0)
+    h = float(min(cfg.dt, t1 - t0))
     times = [t0]
-    states = [y.copy()]
+    states = [y]
     steps = 0
     h_min = 1e-14 * max(1.0, abs(t1 - t0))
     while t < t1 - 1e-14 * max(1.0, abs(t1)):
@@ -202,12 +236,19 @@ def integrate_ode(rhs: Callable[[np.ndarray], np.ndarray], s0, t0: float, t1: fl
         h = min(h, t1 - t)
         if h < h_min:
             raise StepFailure(f"step size underflow at t={t:.6g}")
-        y_new, err, k_last = _dp_step(rhs, y, h, k1)
-        if not np.isfinite(y_new).all():
+        try:
+            y_new, err, k_last = _dp_step(rhs, y, h, k1)
+            finite = _finite(y_new)
+        except OverflowError:
+            finite = False
+        if not finite:
             raise StepFailure(f"non-finite state at t={t:.6g}")
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        r = err / scale
-        err_norm = math.sqrt(float((r * r).sum()) / r.size)
+        # RMS norm of the error against atol + rtol * max(|y|, |y_new|)
+        acc = 0.0
+        for a, b, e in zip(y, y_new, err):
+            r = e / (atol + rtol * max(abs(a), abs(b)))
+            acc += r * r
+        err_norm = math.sqrt(acc / len(y))
         if err_norm <= 1.0:
             t = t + h
             y = y_new
@@ -216,7 +257,7 @@ def integrate_ode(rhs: Callable[[np.ndarray], np.ndarray], s0, t0: float, t1: fl
                 y = project(y)
                 k1 = rhs(y)
             times.append(t)
-            states.append(y.copy())
+            states.append(y)
             steps += 1
         factor = 0.9 * (err_norm ** -0.2 if err_norm > 0 else 5.0)
         h = h * min(5.0, max(0.2, factor))
@@ -225,7 +266,11 @@ def integrate_ode(rhs: Callable[[np.ndarray], np.ndarray], s0, t0: float, t1: fl
 
 def propagate(rhs, s0, t0: float, t1: float, cfg: IntegratorConfig,
               project=None) -> np.ndarray:
-    """Final state of the flow over [t0, t1]; ``integrate_ode`` stores every step on the way."""
+    """Final state of the flow over [t0, t1]; ``integrate_ode`` stores every step on the way.
+
+    ``rhs`` and ``project`` follow the ``integrate_ode`` contract: a list of
+    floats in, a sequence of floats out.
+    """
     if t1 == t0:
         return np.asarray(s0, dtype=float).copy()
     return integrate_ode(rhs, s0, t0, t1, cfg, project=project).states[-1]
@@ -234,41 +279,46 @@ def propagate(rhs, s0, t0: float, t1: float, cfg: IntegratorConfig,
 def integrate_grid(rhs, s0, grid, dt: float, project=None) -> np.ndarray:
     """RK4 states on a prescribed grid, substepping each segment at <= dt.
 
+    ``rhs`` and ``project`` follow the ``integrate_ode`` contract: a list of
+    floats in, a sequence of floats out.
+
     Raises:
-        StepFailure: a substep produced a non-finite state.
+        StepFailure: a substep produced a non-finite (or overflowing) state.
     """
     grid = np.asarray(grid, dtype=float)
-    y = np.asarray(s0, dtype=float).copy()
-    out = np.empty((grid.size, y.size))
+    ts = grid.tolist()
+    y = np.asarray(s0, dtype=float).tolist()
+    out = np.empty((grid.size, len(y)))
     out[0] = y
     for i in range(grid.size - 1):
-        seg = grid[i + 1] - grid[i]
+        seg = ts[i + 1] - ts[i]
         n_sub = max(1, int(math.ceil(seg / dt - 1e-12)))
         h = seg / n_sub
         for j in range(n_sub):
-            y = _rk4_step(rhs, y, h)
-            if project is not None:
-                y = project(y)
-            if not np.isfinite(y).all():
-                raise StepFailure(f"non-finite state at t={grid[i] + (j + 1) * h:.6g}")
+            y = _rk4_advance(rhs, y, h, project)
+            if y is None:
+                raise StepFailure(f"non-finite state at t={ts[i] + (j + 1) * h:.6g}")
         out[i + 1] = y
     return out
 
 
-def full_rhs(sys: SymmetricSystem) -> Callable[[np.ndarray], np.ndarray]:
+def full_rhs(sys: SymmetricSystem) -> Callable[[list], list]:
     """Right-hand side of the full Euler-Lagrange system in all coordinates.
 
     The kinetic matrix and potential depend on the shape coordinates only,
     so the generalized force has no cyclic-position terms and the momentum
     integral is a first integral of the assembled field by construction.
+    The state is converted to an array once and the derivative returned as
+    a list of floats, the ``integrate_ode`` contract.
     """
     n = sys.n
     d = sys.dim
 
-    def rhs(y: np.ndarray) -> np.ndarray:
+    def rhs(y) -> list:
+        y = np.asarray(y, dtype=float)
         q = y[:n]
         v = y[d:]
-        return np.concatenate([v, accel(sys, q, v, *_checked_metric(sys, q))])
+        return v.tolist() + accel(sys, q, v, *_checked_metric(sys, q)).tolist()
 
     return rhs
 
@@ -287,12 +337,18 @@ def integrate_full(sys: SymmetricSystem, s0: FullState, t0: float, t1: float,
 
 
 def reduced_vector_field(sys: SymmetricSystem, f: MomentumValue):
-    """Reduced second-order field as a first-order rhs on (q, qdot)."""
+    """Reduced second-order field as a first-order rhs on (q, qdot).
+
+    Like ``full_rhs`` it converts the state to an array once and returns
+    the derivative as a list of floats.
+    """
     n = sys.n
     c = f.as_vector()
 
-    def rhs(y: np.ndarray) -> np.ndarray:
-        return np.concatenate([y[n:], _reduced_accel(sys, c, y[:n], y[n:])])
+    def rhs(y) -> list:
+        y = np.asarray(y, dtype=float)
+        qdot = y[n:]
+        return qdot.tolist() + _reduced_accel(sys, c, y[:n], qdot).tolist()
 
     return rhs
 
@@ -369,14 +425,26 @@ def reconstruct(sys: SymmetricSystem, f: MomentumValue, red: Trajectory,
     are reduced modulo 2*pi only at presentation time.
 
     Raises:
-        MomentumMismatch: the trajectory was produced at a different
-            momentum value than ``f``.
+        MomentumMismatch: the trajectory is not a reduced trajectory of
+            ``sys`` at momentum ``f``: its states do not have 2n columns,
+            its metadata names another system, or it was produced at a
+            different momentum value.
     """
+    n = sys.n
+    if red.states.ndim != 2 or red.states.shape[1] != 2 * n:
+        raise MomentumMismatch(
+            f"reduced trajectory has states of shape {red.states.shape}, "
+            f"{sys.name or 'the system'} needs {2 * n} columns"
+        )
+    if red.meta.system and red.meta.system != sys.name:
+        raise MomentumMismatch(
+            f"reduced trajectory was produced by system {red.meta.system!r}, "
+            f"not {sys.name!r}"
+        )
     if red.meta.momentum is None or not red.meta.momentum.matches(f):
         raise MomentumMismatch(
             "reduced trajectory metadata does not carry the requested momentum value"
         )
-    n = sys.n
     x0 = np.zeros(sys.k) if x0 is None else np.asarray(x0, dtype=float)
     psi0 = np.zeros(sys.l) if psi0 is None else np.asarray(psi0, dtype=float)
     m = red.times.size

@@ -6,7 +6,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
 from .reduction import SymmetricSystem
 
 
@@ -43,7 +42,7 @@ def constant_matrix_system(n: int, k: int, l: int, matrix,
     K = np.asarray(matrix, dtype=float)
     d = n + k + l
     if K.shape != (d, d):
-        raise ConfigError(f"custom matrix must be {d}x{d}, got {K.shape}")
+        raise ValueError(f"custom matrix must be {d}x{d}, got {K.shape}")
 
     dK = np.zeros((n, d, d))
     dK.flags.writeable = False

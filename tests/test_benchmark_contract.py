@@ -2,8 +2,12 @@
 
 ``perfbench/tracing.py`` replaces routhkit functions with counting
 wrappers, looked up by module and attribute name; a required name that
-disappears fails the traced benchmark run.  The tracer module imports only
-the standard library, so it is loaded here by path.
+disappears fails the traced benchmark run.  The private names it wraps
+(the RK4 and DP45 step helpers, the ellipsoid flow factories, the
+equatorial analysis) are optional there: if one disappears, the metrics it
+feeds read 0 and the run still passes, so they are checked here too.  The
+tracer module imports only the standard library, so it is loaded here by
+path.
 """
 
 import importlib
@@ -23,14 +27,16 @@ def _load_tracing():
     return module
 
 
-def _required_names():
+def _wrapped_names():
     tracing = _load_tracing()
-    names = [(m, a) for m, a, _ in tracing.SPANS + tracing.HOT + tracing.RHS_FACTORIES]
+    names = [(m, a) for m, a, _ in tracing.SPANS + tracing.HOT + tracing.RHS_FACTORIES
+             + tracing.OPTIONAL_SPANS + tracing.OPTIONAL_STEPS
+             + tracing.OPTIONAL_RHS_FACTORIES]
     names += [(m, a) for m, a in tracing.SYSTEM_FACTORIES]
     return sorted(set(names))
 
 
-@pytest.mark.parametrize("module_name, attr", _required_names(),
+@pytest.mark.parametrize("module_name, attr", _wrapped_names(),
                          ids=lambda x: x if isinstance(x, str) else None)
 def test_traced_name_exists(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr, None))

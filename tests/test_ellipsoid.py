@@ -589,6 +589,6 @@ def test_huge_state_overflows_without_raising(triaxial, physical_time, scale):
     for y in (np.array([scale, 0.5 * scale, 0.0, 1.0, 0.0, 0.0]),
               np.array([0.5, 0.0, 0.1, scale, -scale, scale])):
         out = rhs(y)
-        assert out.shape == (6,)
+        assert np.shape(out) == (6,)
     u, udot = project_to_surface(triaxial, [scale, 0.0, 0.0], [1.0, 2.0, 3.0])
     assert u.shape == udot.shape == (3,)

@@ -32,6 +32,7 @@ from routhkit import (
     reparametrize_time,
     shoot_periodic,
 )
+from routhkit.integrate import _rk4_step
 
 OSC_CFG = IntegratorConfig(method="rk4", dt=1e-3)
 TWO_PI = 2.0 * np.pi
@@ -104,6 +105,22 @@ def blow_up_rhs(y):
     lambda: integrate_grid(blow_up_rhs, [1.0, 0.0], [0.0, 0.5, 1.0], 0.1),
 ], ids=["integrate_ode", "integrate_grid"])
 def test_blow_up_raises_step_failure(run):
+    with pytest.raises(StepFailure, match="non-finite state"):
+        run()
+
+
+def float_blow_up_rhs(y):
+    # Python float powers raise OverflowError where numpy gives inf
+    return [y[1], 1e200 * y[0] ** 3]
+
+
+@pytest.mark.parametrize("run", [
+    lambda: integrate_ode(float_blow_up_rhs, [1.0, 0.0], 0.0, 1.0, IntegratorConfig(dt=0.1)),
+    lambda: integrate_ode(float_blow_up_rhs, [1.0, 0.0], 0.0, 1.0,
+                          IntegratorConfig(method="rk45", dt=0.1)),
+    lambda: integrate_grid(float_blow_up_rhs, [1.0, 0.0], [0.0, 0.5, 1.0], 0.1),
+], ids=["rk4", "rk45", "integrate_grid"])
+def test_float_overflow_raises_step_failure(run):
     with pytest.raises(StepFailure, match="non-finite state"):
         run()
 
@@ -312,6 +329,22 @@ def test_reconstruct_momentum_mismatch(central_force):
         reconstruct(central_force, MomentumValue(xi=[], eta=[2.0]), red, None, [0.0])
 
 
+def test_reconstruct_refuses_a_trajectory_of_another_system(triaxial_system, zero_momentum,
+                                                           generic_state, central_force):
+    red = integrate_reduced(triaxial_system, zero_momentum, generic_state, 0.0, 0.1,
+                            IntegratorConfig(dt=0.01))
+    # a rigid-body trajectory has 4 state columns; the central force needs 2
+    with pytest.raises(MomentumMismatch, match="needs 2 columns"):
+        reconstruct(central_force, MomentumValue(xi=[], eta=[0.0]), red, None, [0.0])
+    # same width and momentum, but the metadata names another system
+    f = MomentumValue(xi=[], eta=[1.0])
+    red = integrate_reduced(central_force, f, ReducedState(q=[1.0], qdot=[0.1]),
+                            0.0, 0.1, IntegratorConfig(dt=0.01))
+    other = constant_matrix_system(1, 0, 1, np.diag([1.0, 2.0]))
+    with pytest.raises(MomentumMismatch, match="'central-force', not 'custom-matrix'"):
+        reconstruct(other, f, red, None, [0.0])
+
+
 def test_reconstruct_momentum_constant_along_samples(central_force):
     f = MomentumValue(xi=[], eta=[0.7])
     red = integrate_reduced(central_force, f, ReducedState(q=[1.1], qdot=[0.3]),
@@ -430,6 +463,32 @@ def test_trajectory_requires_matching_lengths():
         Trajectory(times=[0.0, 1.0, 2.0], states=np.zeros((2, 1)))
 
 
+def rk4_array_step(rhs, y, h):
+    """The classical RK4 step as numpy array arithmetic."""
+    y = np.asarray(y, dtype=float)
+    k1 = np.asarray(rhs(y))
+    k2 = np.asarray(rhs(y + 0.5 * h * k1))
+    k3 = np.asarray(rhs(y + 0.5 * h * k2))
+    k4 = np.asarray(rhs(y + h * k3))
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(y=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8),
+       coeffs=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       h=st.floats(1e-4, 0.5))
+def test_rk4_step_bit_equal_to_array_formula(y, coeffs, h):
+    a, b, c = coeffs
+
+    def rhs(s):
+        # nonlinear and coupling every component to its neighbour
+        s = np.asarray(s, dtype=float)
+        return (a * np.sin(np.roll(s, 1)) * s + b * s * s - c * np.cos(s) * s.sum()).tolist()
+
+    got = _rk4_step(rhs, list(y), h)
+    assert [float(v) for v in got] == rk4_array_step(rhs, y, h).tolist()
+
+
 # Dormand-Prince 5(4) tableau written out stage by stage.
 DP_A = [
     [],
@@ -496,6 +555,22 @@ def test_rk45_oscillator_step_counts(monkeypatch, dt, tol, t1, accepted, trials)
     assert counted[0] == trials
 
 
+def test_section_period_step_counts(monkeypatch):
+    # one DP45 period of the constrained flow with the shooting settings, from
+    # the x-section seed of the (1, 1.5, 2) body at h = 0.5; the counts are
+    # those of the array-based stepper the float stepper replaced
+    from routhkit.ellipsoid import (_SHOOT_CFG, ConformalData, EllipsoidState,
+                                    constrained_flow, section_seed)
+    from routhkit.rigidbody import RigidBodyParams
+    counted = count_dp_trials(monkeypatch)
+    p = RigidBodyParams(1.0, 1.5, 2.0)
+    cd = ConformalData(h=0.5)
+    seed, period = section_seed(p, cd, "x")
+    traj = constrained_flow(p, cd, EllipsoidState.from_vector(seed), 0.0, period, _SHOOT_CFG)
+    assert traj.times.size - 1 == 386
+    assert counted[0] == 387
+
+
 @pytest.mark.parametrize("projected", [False, True], ids=["plain", "projected"])
 def test_rk45_rhs_evaluations(monkeypatch, projected):
     # 1 initial evaluation (also the first stage), 6 per trial, and with a
@@ -508,7 +583,7 @@ def test_rk45_rhs_evaluations(monkeypatch, projected):
         return osc_rhs(y)
 
     def project(y):
-        return y / np.linalg.norm(y)
+        return np.asarray(y) / np.linalg.norm(y)
 
     cfg = IntegratorConfig(method="rk45", dt=0.1, abs_tol=1e-10, rel_tol=1e-10)
     traj = integrate_ode(rhs, [1.0, 0.0], 0.0, 3.0, cfg,

@@ -281,6 +281,24 @@ def test_cli_momentum_mismatch_exit_4(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_reconstruct_refuses_another_systems_trajectory(tmp_path, capsys):
+    # a rigid-body reduced CSV read with a central-force config at matching eta
+    red_path = str(tmp_path / "red.csv")
+    assert main(["simulate-reduced", "--config", write_config(tmp_path, base_config()),
+                 "--output", red_path]) == 0
+    central = {
+        "system": "central-force",
+        "momentum": {"xi": [], "eta": [0.0]},
+        "initial": {"reduced": {"q": [1.0], "qdot": [0.0]}},
+    }
+    out = tmp_path / "rec.csv"
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", write_config(tmp_path, central, "cf.yaml"),
+                 "--reduced", red_path, "--output", str(out)]) == 4
+    assert "central-force needs 2 columns" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_verify_report_validates_against_schema(tmp_path, capsys):
     jsonschema = pytest.importorskip("jsonschema")
     cfg_path = write_config(tmp_path, base_config(t_end=2.0))
@@ -333,9 +351,12 @@ def test_config_rejects_bad_energy_target(target):
     (custom_config(n="abc"), "custom.n"),
     (custom_config(matrix=[[2.0, "x"], [0.0, 1.0]]), "custom.matrix"),
     (custom_config(matrix="abc"), "custom.matrix"),
+    (custom_config(matrix=5), "custom.matrix"),
+    (custom_config(matrix=np.eye(3).tolist()), "custom.matrix"),
 ], ids=["t_end-inf", "t_end-text", "dt-text", "dt-list", "coefficient-text",
         "coefficient-nan", "max_steps-inf", "abs_tol-list", "custom-n-text",
-        "custom-matrix-entry-text", "custom-matrix-text"])
+        "custom-matrix-entry-text", "custom-matrix-text", "custom-matrix-scalar",
+        "custom-matrix-3x3-for-2"])
 def test_config_rejects_non_numeric_scalars(tmp_path, capsys, overrides, key):
     cfg = base_config(**overrides)
     with pytest.raises(ConfigError, match=key):

@@ -67,6 +67,13 @@ def test_blocks_rejects_asymmetric_matrix():
         mass_matrix_blocks(sys, np.zeros(1))
 
 
+@pytest.mark.parametrize("matrix", [5.0, np.eye(3)], ids=["scalar", "3x3-for-2"])
+def test_constant_matrix_wrong_shape_is_a_value_error(matrix):
+    # a library builder: the CLI's ConfigError belongs to parse_config
+    with pytest.raises(ValueError, match="2x2"):
+        constant_matrix_system(1, 1, 0, matrix)
+
+
 def test_blocks_pole_guard(triaxial_system):
     with pytest.raises(ChartBoundary):
         mass_matrix_blocks(triaxial_system, np.array([0.0, 1e-7]))
