@@ -17,7 +17,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import config as cfgmod
-from .errors import RouthkitError
+from .errors import ConfigError, RouthkitError
 from .integrate import Trajectory, integrate_full, integrate_reduced, reconstruct
 from .trajectory_io import read_trajectory_csv, write_atomic, write_trajectory_csv
 from .verify import energy_drift, momentum_drift, report_dict, run_kolosov, run_verify
@@ -98,9 +98,18 @@ def _print_results(results) -> bool:
     return all(r.passed for r in results)
 
 
+def _zero_momentum_params(cfg: cfgmod.RunConfig):
+    """Rigid-body parameters of a verb that runs at zero momentum only."""
+    params = cfgmod.build_params(cfg)
+    if np.any(cfg.momentum.as_vector() != 0.0):
+        raise ConfigError(f"this command runs at zero momentum, got "
+                          f"{np.array2string(cfg.momentum.as_vector())}")
+    return params
+
+
 def cmd_verify(args) -> int:
     cfg = _load(args)
-    params = cfgmod.build_params(cfg)
+    params = _zero_momentum_params(cfg)
     r0 = cfgmod.initial_reduced_state(cfg)
     results = run_verify(params, r0, t_end=cfg.t_end, dt=cfg.integrator.dt)
     ok = _print_results(results)
@@ -112,7 +121,7 @@ def cmd_verify(args) -> int:
 
 def cmd_kolosov(args) -> int:
     cfg = _load(args)
-    params = cfgmod.build_params(cfg)
+    params = _zero_momentum_params(cfg)
     r0 = cfgmod.initial_reduced_state(cfg)
     report = run_kolosov(params, r0, dt=cfg.integrator.dt, energy_target=cfg.energy_target)
 

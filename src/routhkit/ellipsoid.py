@@ -354,8 +354,6 @@ def maupertuis_speed(p: RigidBodyParams, h: float, s: EllipsoidState) -> float:
 # Principal-section closed orbits
 
 
-_SECTION_AXES = {"x": 0, "y": 1, "z": 2}
-
 # In-plane basis (ellipse axes) per section: indices of the two coordinates
 # that stay active, in the parametrization order used by the seeds.
 _SECTION_PLANE = {"z": (0, 1), "y": (0, 2), "x": (1, 2)}
@@ -405,7 +403,7 @@ def section_seed(p: RigidBodyParams, cd: ConformalData, plane: str):
         InvalidParams: the energy does not exceed the potential somewhere
             on the ellipse, so the zero-energy speed is not real.
     """
-    if plane not in _SECTION_AXES:
+    if plane not in _SECTION_PLANE:
         raise ValueError(f"plane must be one of x, y, z, got {plane!r}")
     moments = (p.A, p.B, p.C)
     i, j = _SECTION_PLANE[plane]

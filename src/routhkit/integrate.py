@@ -27,6 +27,7 @@ from .reduction import (
     ReducedState,
     SymmetricSystem,
     _checked_metric,
+    _finite_vector,
     _reduced_accel,
     accel,
     energy_full,
@@ -91,10 +92,6 @@ class Trajectory:
             raise ValueError("times and states must have matching length")
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
-
-    @property
-    def span(self) -> float:
-        return float(self.times[-1] - self.times[0])
 
 
 @dataclass
@@ -429,6 +426,8 @@ def reconstruct(sys: SymmetricSystem, f: MomentumValue, red: Trajectory,
             ``sys`` at momentum ``f``: its states do not have 2n columns,
             its metadata names another system, or it was produced at a
             different momentum value.
+        ValueError: ``x0`` or ``psi0`` is not a finite vector of k or l
+            entries.
     """
     n = sys.n
     if red.states.ndim != 2 or red.states.shape[1] != 2 * n:
@@ -445,8 +444,8 @@ def reconstruct(sys: SymmetricSystem, f: MomentumValue, red: Trajectory,
         raise MomentumMismatch(
             "reduced trajectory metadata does not carry the requested momentum value"
         )
-    x0 = np.zeros(sys.k) if x0 is None else np.asarray(x0, dtype=float)
-    psi0 = np.zeros(sys.l) if psi0 is None else np.asarray(psi0, dtype=float)
+    x0 = np.zeros(sys.k) if x0 is None else _finite_vector(x0, sys.k, "x0")
+    psi0 = np.zeros(sys.l) if psi0 is None else _finite_vector(psi0, sys.l, "psi0")
     m = red.times.size
     w = np.empty((m, sys.n_cyclic))
     for i in range(m):

@@ -346,8 +346,6 @@ def _cyclic_rates(sys: SymmetricSystem, K: np.ndarray, L, qdot: np.ndarray,
     rhs = c - K[n:, :n] @ qdot
     if sys.n_cyclic == 1:
         return rhs / K[n, n]
-    if sys.n_cyclic == 0:
-        return rhs
     if L is None:
         return np.linalg.solve(K[n:, n:], rhs)
     return np.array(_factor_solve(L, rhs.tolist()[::-1])[::-1])
@@ -435,8 +433,6 @@ def reduced_mass_matrix(sys: SymmetricSystem, q) -> np.ndarray:
     part of the Routhian does not depend on the momentum value.
     """
     Kqq, Kqc, D = mass_matrix_blocks(sys, q)
-    if sys.n_cyclic == 0:
-        return Kqq
     return Kqq - Kqc @ np.linalg.solve(D, Kqc.T)
 
 
@@ -586,8 +582,5 @@ def symplectic_det_pair(sys: SymmetricSystem, f: MomentumValue, r: ReducedState)
     lhs = float(np.linalg.det(omega))
 
     K = evaluate_metric(sys, q)
-    if sys.n_cyclic == 0:
-        rhs = float(np.linalg.det(K)) ** 2
-    else:
-        rhs = (float(np.linalg.det(K)) / float(np.linalg.det(K[n:, n:]))) ** 2
+    rhs = (float(np.linalg.det(K)) / float(np.linalg.det(K[n:, n:]))) ** 2
     return lhs, rhs

@@ -221,9 +221,8 @@ def rotating_frame_residual(full: Trajectory, lam: float, T: float) -> float:
     """Periodicity defect in the frame rotating at rate lam about the axis.
 
     Compares (phi, theta, psi - lam*t) at t and t + T for every grid point
-    t in the first period; angle components are compared modulo 2*pi.  A
-    uniform grid whose step divides T is compared sample-to-sample;
-    otherwise the shifted states are linearly interpolated.
+    t in the first period; angle components are compared modulo 2*pi.  The
+    states at t + T are linearly interpolated on the grid.
 
     Raises:
         SpanTooShort: the trajectory does not cover two periods.
@@ -238,23 +237,10 @@ def rotating_frame_residual(full: Trajectory, lam: float, T: float) -> float:
     chi[:, 2] = pos[:, 2] - lam * (t - t[0])
 
     first = t <= t[0] + T + 1e-12
-    t_first = t[first]
-    chi_first = chi[first]
-
-    steps = np.diff(t)
-    h = steps[0]
-    uniform = np.max(np.abs(steps - h)) <= 1e-9 * h
-    m_shift = int(round(T / h)) if uniform else 0
-    if uniform and abs(m_shift * h - T) <= 1e-9 * max(1.0, T):
-        idx = np.nonzero(first)[0]
-        keep = idx + m_shift <= t.size - 1
-        chi_a = chi[idx[keep]]
-        chi_b = chi[idx[keep] + m_shift]
-    else:
-        chi_a = chi_first
-        chi_b = np.column_stack([
-            np.interp(t_first + T, t, chi[:, j]) for j in range(3)
-        ])
+    chi_a = chi[first]
+    chi_b = np.column_stack([
+        np.interp(t[first] + T, t, chi[:, j]) for j in range(3)
+    ])
 
     gap_phi = _angle_gap(chi_a[:, 0], chi_b[:, 0])
     gap_theta = np.abs(chi_a[:, 1] - chi_b[:, 1])

@@ -67,8 +67,12 @@ def read_trajectory_csv(path: str) -> Tuple[Trajectory, List[str]]:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if "=" in body:
-                    key, value = body.split("=", 1)
-                    meta_kv[key.strip()] = json.loads(value.strip())
+                    key, value = (part.strip() for part in body.split("=", 1))
+                    try:
+                        meta_kv[key] = json.loads(value)
+                    except json.JSONDecodeError as exc:
+                        raise ConfigError(f"{path}: metadata {key} is not JSON: "
+                                          f"{value!r}") from exc
                 continue
             if header is None:
                 header = [c.strip() for c in line.split(",")]
@@ -87,13 +91,17 @@ def read_trajectory_csv(path: str) -> Tuple[Trajectory, List[str]]:
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         raise ConfigError(f"{path}: non-finite value in data row {int(np.argmin(finite)) + 1}")
-    momentum = None
-    if "momentum_xi" in meta_kv or "momentum_eta" in meta_kv:
-        momentum = MomentumValue(xi=np.asarray(meta_kv.get("momentum_xi", []), dtype=float),
-                                 eta=np.asarray(meta_kv.get("momentum_eta", []), dtype=float))
-    meta = TrajectoryMeta(system=meta_kv.get("system", ""),
-                          momentum=momentum,
-                          chart=meta_kv.get("chart", ""),
-                          energy0=meta_kv.get("energy0"))
-    traj = Trajectory(times=data[:, 0], states=data[:, 1:], meta=meta)
+    try:
+        momentum = None
+        if "momentum_xi" in meta_kv or "momentum_eta" in meta_kv:
+            momentum = MomentumValue(
+                xi=np.asarray(meta_kv.get("momentum_xi", []), dtype=float),
+                eta=np.asarray(meta_kv.get("momentum_eta", []), dtype=float))
+        meta = TrajectoryMeta(system=meta_kv.get("system", ""),
+                              momentum=momentum,
+                              chart=meta_kv.get("chart", ""),
+                              energy0=meta_kv.get("energy0"))
+        traj = Trajectory(times=data[:, 0], states=data[:, 1:], meta=meta)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return traj, header[1:]

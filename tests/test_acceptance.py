@@ -167,6 +167,14 @@ def test_criterion_8_rotating_frame(kolosov_report):
     assert ok
 
 
+def test_equatorial_orbit_closed_form(kolosov_report, triaxial_params):
+    # the equatorial orbit spins about the C axis at omega = sqrt(2h / C)
+    # without precessing; the shooter starts from and keeps this closed form
+    T = 2.0 * np.pi * np.sqrt(triaxial_params.C / (2.0 * kolosov_report.h))
+    assert abs(kolosov_report.equatorial_period - T) <= 1e-12 * T
+    assert abs(kolosov_report.lambda_avg) <= 1e-12
+
+
 def test_criterion_9_rk4_order():
     def rhs(y):
         return np.array([y[1], -y[0]])

@@ -329,6 +329,21 @@ def test_reconstruct_momentum_mismatch(central_force):
         reconstruct(central_force, MomentumValue(xi=[], eta=[2.0]), red, None, [0.0])
 
 
+@pytest.mark.parametrize("psi0, message", [
+    ([0.5], r"psi0 must have shape \(2,\)"),
+    ([np.nan, 0.0], "psi0 must be finite"),
+], ids=["one-angle-for-two", "nan-angle"])
+def test_reconstruct_checks_start_values(psi0, message):
+    sys = constant_matrix_system(1, 0, 2, np.diag([1.0, 2.0, 3.0]))
+    f = MomentumValue(xi=[], eta=[0.5, -0.5])
+    red = integrate_reduced(sys, f, ReducedState(q=[0.0], qdot=[1.0]), 0.0, 0.1,
+                            IntegratorConfig(dt=0.01))
+    with pytest.raises(ValueError, match=message):
+        reconstruct(sys, f, red, x0=None, psi0=psi0)
+    with pytest.raises(ValueError, match=r"x0 must have shape \(0,\)"):
+        reconstruct(sys, f, red, x0=[1.0], psi0=None)
+
+
 def test_reconstruct_refuses_a_trajectory_of_another_system(triaxial_system, zero_momentum,
                                                            generic_state, central_force):
     red = integrate_reduced(triaxial_system, zero_momentum, generic_state, 0.0, 0.1,

@@ -84,22 +84,40 @@ def test_csv_rejects_label_mismatch(tmp_path, rng):
         write_trajectory_csv(str(tmp_path / "x.csv"), make_trajectory(rng), ["a"])
 
 
-@pytest.mark.parametrize("row, message", [
-    (lambda cells: cells[:2] + ["nan"] + cells[3:], "non-finite"),
-    (lambda cells: ["inf"] + cells[1:], "non-finite"),
-    (lambda cells: cells[:-1], "4 values for 5 columns"),
-    (lambda cells: cells[:-1] + ["1.0x"], "unreadable"),
-], ids=["nan-state", "inf-time", "short-row", "garbage"])
-def test_csv_rejects_corrupt_rows(tmp_path, rng, row, message):
+def _row(edit):
+    """A file edit that applies ``edit`` to the cells of one data row."""
+    return lambda lines: lines[:-3] + [",".join(edit(lines[-3].split(",")))] + lines[-2:]
+
+
+def _meta(key, value):
+    """A file edit that replaces the value of one metadata line."""
+    return lambda lines: [f"# {key} = {value}" if ln.startswith(f"# {key} ") else ln
+                          for ln in lines]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_row(lambda cells: cells[:2] + ["nan"] + cells[3:]), "non-finite"),
+    (_row(lambda cells: ["inf"] + cells[1:]), "non-finite"),
+    (_row(lambda cells: cells[:-1]), "4 values for 5 columns"),
+    (_row(lambda cells: cells[:-1] + ["1.0x"]), "unreadable"),
+    (_meta("energy0", "abc"), "energy0 is not JSON"),
+    (_meta("momentum_eta", '"x"'), "could not convert"),
+    (lambda lines: lines[:-1] + [lines[-2]], "strictly increasing"),
+], ids=["nan-state", "inf-time", "short-row", "garbage", "energy0-not-json",
+        "momentum-text", "repeated-time"])
+def test_csv_rejects_corrupt_rows(tmp_path, rng, capsys, edit, message):
     path = str(tmp_path / "traj.csv")
     write_trajectory_csv(path, make_trajectory(rng), ["a", "b", "c", "d"])
     with open(path) as handle:
         lines = handle.read().splitlines()
-    lines[-3] = ",".join(row(lines[-3].split(",")))
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-    with pytest.raises(ConfigError, match=message):
+        handle.write("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ConfigError, match=message) as info:
         read_trajectory_csv(path)
+    assert path in str(info.value)
+    assert main(["reconstruct", "--config", write_config(tmp_path, base_config()),
+                 "--reduced", path, "--output", str(tmp_path / "rec.csv")]) == 2
+    assert message in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +349,18 @@ def test_cli_rigid_body_verbs_refuse_central_force(tmp_path, capsys, verb):
     assert main([verb, "--config", cfg_path, "--output", str(tmp_path / "out")]) == 2
     assert "rigid-body" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("verb", ["verify", "kolosov"])
+def test_cli_zero_momentum_verbs_refuse_nonzero_momentum(tmp_path, capsys, verb):
+    cfg_path = write_config(tmp_path, base_config(momentum={"xi": [], "eta": [0.5]}))
+    assert main([verb, "--config", cfg_path, "--output", str(tmp_path / "out")]) == 2
+    assert "zero momentum" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+    # the simulate verbs run at the configured momentum
+    assert main(["simulate-reduced", "--config", cfg_path, "--t-end", "0.01",
+                 "--output", str(tmp_path / "red.csv")]) == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("target", [-1.0, 0.0, float("nan"), float("inf")])

@@ -9,6 +9,7 @@ from routhkit import (
     MomentumValue,
     NotPositiveDefinite,
     ReducedState,
+    SymmetricSystem,
     complete_state,
     constant_matrix_system,
     lagrangian_full,
@@ -21,7 +22,8 @@ from routhkit import (
     solve_cyclic,
     symplectic_det_pair,
 )
-from routhkit.reduction import evaluate_metric
+from routhkit.integrate import full_rhs
+from routhkit.reduction import _checked_metric, evaluate_metric
 
 from conftest import kinetic_oracle
 
@@ -345,6 +347,46 @@ def test_symplectic_pair_rigid_body(triaxial_system, zero_momentum, rng):
         r = ReducedState(q=[0.7, 1.1], qdot=rng.normal(size=2))
         lhs, rhs = symplectic_det_pair(triaxial_system, zero_momentum, r)
         assert abs(lhs - rhs) / abs(rhs) < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# no cyclic coordinates: Routh reduction is the Euler-Lagrange system
+
+
+def uncoupled_system(rng, n):
+    """q-dependent metric and potential with k = l = 0."""
+    base = rng.normal(size=(n, n))
+    K0 = base @ base.T + n * np.eye(n)
+    amp = 0.1 * float(np.min(np.linalg.eigvalsh(K0)))
+    seed_mat = rng.normal(size=(n, n))
+    S = 0.5 * (seed_mat + seed_mat.T)
+    freq = rng.uniform(0.5, 1.5, size=n)
+    coeffs = rng.normal(size=n)
+    return SymmetricSystem(n=n, k=0, l=0,
+                           mass_matrix=lambda q: K0 + amp * float(np.sin(freq @ q)) * S,
+                           potential=lambda q: float(coeffs @ np.cos(q)))
+
+
+@pytest.mark.parametrize("n, float_path", [(2, True), (4, False)],
+                         ids=["d2-float-factor", "d4-numpy-solve"])
+def test_empty_cyclic_block_is_the_euler_lagrange_system(rng, n, float_path):
+    sys = uncoupled_system(rng, n)
+    f = MomentumValue.zero(0, 0)
+    for _ in range(3):
+        r = random_state(rng, sys)
+        assert (_checked_metric(sys, r.q)[1] is not None) == float_path
+        # Schur complement of an empty block and det D of a 0 x 0 block
+        assert np.array_equal(reduced_mass_matrix(sys, r.q), evaluate_metric(sys, r.q))
+        lhs, rhs = symplectic_det_pair(sys, f, r)
+        assert abs(lhs - rhs) / abs(rhs) < 1e-5
+        w = solve_cyclic(sys, r.q, r.qdot, f)
+        assert w.xdot.shape == (0,) and w.psidot.shape == (0,)
+        # the reduced field is the full one: same rows, same bits
+        qdot, qddot = reduced_rhs(sys, f, r)
+        full = np.array(full_rhs(sys)(np.concatenate([r.q, r.qdot])))
+        assert np.array_equal(qdot, full[:n])
+        assert np.array_equal(qddot, full[n:])
+        assert np.any(qddot != 0.0)
 
 
 # ---------------------------------------------------------------------------
