@@ -21,10 +21,8 @@ from .errors import (
     SingularReducedMass,
     SpanTooShort,
     StepFailure,
-    TangencyViolation,
 )
 from .reduction import (
-    CyclicVelocities,
     FullState,
     MomentumValue,
     ReducedState,
@@ -38,7 +36,6 @@ from .reduction import (
     momentum_map,
     reduced_energy,
     reduced_mass_matrix,
-    reduced_rhs,
     routhian,
     shape_momentum,
     solve_cyclic,
@@ -76,9 +73,7 @@ from .ellipsoid import (
     conformal_factor,
     conformal_factor_grad,
     constrained_flow,
-    constrained_rhs,
     dsigma_length,
-    kolosov_angles,
     kolosov_map,
     kolosov_potential,
     kolosov_velocity,

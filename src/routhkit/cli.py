@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys as _sys
 from typing import List, Optional
 
@@ -19,13 +18,12 @@ import numpy as np
 from . import config as cfgmod
 from .errors import ConfigError, RouthkitError
 from .integrate import Trajectory, integrate_full, integrate_reduced, reconstruct
+from .reduction import TWO_PI
 from .trajectory_io import read_trajectory_csv, write_atomic, write_trajectory_csv
 from .verify import energy_drift, momentum_drift, report_dict, run_kolosov, run_verify
 
 EXIT_OK = 0
 EXIT_CONSISTENCY = 4
-
-TWO_PI = 2.0 * math.pi
 
 
 def _load(args) -> cfgmod.RunConfig:

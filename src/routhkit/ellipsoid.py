@@ -22,7 +22,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .errors import InvalidParams, OffSurface, TangencyViolation
+from .errors import InvalidParams, OffSurface
 from .integrate import (
     IntegratorConfig,
     PeriodicOrbit,
@@ -38,8 +38,6 @@ from .rigidbody import RigidBodyParams
 
 # Constraint residual allowed before an operation refuses the state.
 SURFACE_TOL = 1e-8
-# Relative tangency defect allowed in the constrained right-hand side.
-TANGENCY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -144,14 +142,6 @@ def kolosov_velocity(p: RigidBodyParams, phi, theta, phidot, thetadot) -> np.nda
     ], axis=-1)
 
 
-def kolosov_angles(p: RigidBodyParams, u) -> tuple[float, float]:
-    """Inverse of the ellipsoid map: chart angles of a surface point."""
-    u = np.asarray(u, dtype=float)
-    theta = math.acos(min(1.0, max(-1.0, math.sqrt(p.C) * u[2])))
-    phi = math.atan2(math.sqrt(p.A) * u[0], math.sqrt(p.B) * u[1])
-    return phi, theta
-
-
 def _factor_unchecked(p: RigidBodyParams, u):
     u = np.asarray(u, dtype=float)
     s = p.A ** 2 * u[..., 0] ** 2 + p.B ** 2 * u[..., 1] ** 2 + p.C ** 2 * u[..., 2] ** 2
@@ -215,12 +205,11 @@ def _accel(p: RigidBodyParams, cd: ConformalData, u, udot, physical_time: bool):
     """Constrained acceleration and multiplier; no surface checks.
 
     Explicit integrator stage points sit slightly off the surface, so the
-    flow evaluates this formula directly; the public operation wraps it in
-    the contract checks.  ``u`` and ``udot`` are three floats each; the
-    algebra runs on them directly and returns the acceleration as a list
-    of three floats.  Products rather than powers let a huge state
-    overflow to inf instead of raising.  A potential is handed an array
-    point, built only when there is one.
+    flow evaluates this formula without checking them.  ``u`` and ``udot``
+    are three floats each; the algebra runs on them directly and returns
+    the acceleration as a list of three floats.  Products rather than
+    powers let a huge state overflow to inf instead of raising.  A
+    potential is handed an array point, built only when there is one.
     """
     A, B, C = p.A, p.B, p.C
     x, y, z = u
@@ -261,37 +250,6 @@ def _accel(p: RigidBodyParams, cd: ConformalData, u, udot, physical_time: bool):
     return [(wx + lam * gx) * inv_a, (wy + lam * gy) * inv_a, (wz + lam * gz) * inv_a], lam
 
 
-def constrained_rhs(p: RigidBodyParams, cd: ConformalData, s: EllipsoidState,
-                    physical_time: bool = False):
-    """Constrained Euler-Lagrange right-hand side with an exact multiplier.
-
-    With ``physical_time`` False (default) the Lagrangian is
-    T(u') - a(u)(V(u) - h) in the rescaled time, whose motions conserve
-    T + a (V - h) = 0 on matched initial data.  With ``physical_time``
-    True it is a(u) T(udot) - V(u) in the original time, conserving
-    a T + V = h.  The multiplier is solved from the second derivative of
-    the constraint and reported for diagnostics.
-
-    Returns:
-        (udot, uddot, lam).
-
-    Raises:
-        OffSurface, TangencyViolation: state violates the constraint or the
-            tangency condition beyond tolerance.
-    """
-    u = s.u
-    udot = s.udot
-    _require_on_surface(p, u)
-    g = constraint_gradient(p, u)
-    tangency = abs(float(g @ udot))
-    if tangency > TANGENCY_TOL * (1.0 + float(np.linalg.norm(udot))) * float(np.linalg.norm(g)):
-        raise TangencyViolation(
-            f"velocity tangency defect {tangency:.3e} beyond tolerance"
-        )
-    uddot, lam = _accel(p, cd, u.tolist(), udot.tolist(), physical_time)
-    return udot.copy(), np.array(uddot), lam
-
-
 def conformal_energy(p: RigidBodyParams, cd: ConformalData, s: EllipsoidState,
                      physical_time: bool = False) -> float:
     """Conserved energy of the corresponding constrained flow."""
@@ -326,7 +284,9 @@ def _flow_project(p: RigidBodyParams):
 def constrained_flow(p: RigidBodyParams, cd: ConformalData, s0: EllipsoidState,
                      t0: float, t1: float, cfg: IntegratorConfig,
                      physical_time: bool = False) -> Trajectory:
-    """Integrate the constrained dynamics with per-step surface projection."""
+    """Integrate the constrained dynamics with per-step surface projection:
+    in rescaled time (default), conserving T + a (V - h) = 0, or with
+    ``physical_time`` in the original time, conserving a T + V = h."""
     project = _flow_project(p)
     start = project(s0.to_vector())
     traj = integrate_ode(_flow_rhs(p, cd, physical_time), start, t0, t1, cfg,

@@ -45,12 +45,6 @@ class OffSurface(RouthkitError):
     exit_code = 3
 
 
-class TangencyViolation(RouthkitError):
-    """Velocity is not tangent to the constraint surface."""
-
-    exit_code = 3
-
-
 class NonPositiveFactor(RouthkitError):
     """Time-change density must be strictly positive along the trajectory."""
 

@@ -449,7 +449,7 @@ def reconstruct(sys: SymmetricSystem, f: MomentumValue, red: Trajectory,
     m = red.times.size
     w = np.empty((m, sys.n_cyclic))
     for i in range(m):
-        w[i] = solve_cyclic(sys, red.states[i, :n], red.states[i, n:2 * n], f).as_vector()
+        w[i] = solve_cyclic(sys, red.states[i, :n], red.states[i, n:2 * n], f)
     cyc = cumulative_quadrature(red.times, w)
     cyc += np.concatenate([x0, psi0])
     states = np.column_stack([
@@ -507,6 +507,7 @@ def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
     periodic to tolerance is returned unchanged.
 
     Args:
+        cfg: ignored (``flow`` carries its own settings); kept for positional callers.
         angle_indices: state components that live on a circle; their
             closure gap is taken modulo 2*pi (rotation-type orbits close
             only up to full turns of the chart angle).

@@ -172,17 +172,6 @@ class FullState:
         )
 
 
-@dataclass(frozen=True)
-class CyclicVelocities:
-    """Cyclic velocities solving the momentum constraint at fixed (q, qdot)."""
-
-    xdot: np.ndarray
-    psidot: np.ndarray
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.xdot, self.psidot])
-
-
 def guard_chart(sys: SymmetricSystem, q: np.ndarray) -> None:
     """Raise ChartBoundary when q is within the guard distance of the boundary."""
     if sys.pole_guard is not None:
@@ -375,14 +364,16 @@ def _kinetic_potential(sys: SymmetricSystem, q, K: np.ndarray, v: np.ndarray):
     return 0.5 * float(v @ K @ v), float(sys.potential(q))
 
 
-def solve_cyclic(sys: SymmetricSystem, q, qdot, f: MomentumValue) -> CyclicVelocities:
+def solve_cyclic(sys: SymmetricSystem, q, qdot, f: MomentumValue) -> np.ndarray:
     """Cyclic velocities at fixed momentum: solve D w = (xi, eta) - Kcq qdot.
 
     Unique because D inherits positive definiteness from the full matrix.
+
+    Returns:
+        w, shape (k+l,): the line-type rates xdot, then the angle rates psidot.
     """
     _, _, v = _complete(sys, f, q, qdot)
-    w = v[sys.n:]
-    return CyclicVelocities(xdot=w[:sys.k], psidot=w[sys.k:])
+    return v[sys.n:]
 
 
 def complete_state(sys: SymmetricSystem, f: MomentumValue, r: ReducedState,
@@ -391,7 +382,7 @@ def complete_state(sys: SymmetricSystem, f: MomentumValue, r: ReducedState,
     w = solve_cyclic(sys, r.q, r.qdot, f)
     x = np.zeros(sys.k) if x is None else _finite_vector(x, sys.k, "x")
     psi = np.zeros(sys.l) if psi is None else _finite_vector(psi, sys.l, "psi")
-    return FullState(q=r.q, x=x, psi=psi, qdot=r.qdot, xdot=w.xdot, psidot=w.psidot)
+    return FullState(q=r.q, x=x, psi=psi, qdot=r.qdot, xdot=w[:sys.k], psidot=w[sys.k:])
 
 
 def lagrangian_full(sys: SymmetricSystem, s: FullState) -> float:
@@ -532,18 +523,6 @@ def _reduced_accel(sys: SymmetricSystem, c: np.ndarray, q: np.ndarray,
         return accel(sys, q, v, K, L)[:sys.n]
     except np.linalg.LinAlgError as exc:
         raise SingularReducedMass("reduced mass matrix solve failed") from exc
-
-
-def reduced_rhs(sys: SymmetricSystem, f: MomentumValue, r: ReducedState):
-    """Second-order vector field of the reduced system.
-
-    Returns:
-        (qdot, qddot): the first block repeats the input velocity exactly
-        (the reduced field is a second-order equation); the second block is
-        the shape acceleration.
-    """
-    qddot = _reduced_accel(sys, f.as_vector(), r.q, r.qdot)
-    return r.qdot.copy(), qddot
 
 
 def shape_momentum(sys: SymmetricSystem, f: MomentumValue, q, qdot) -> np.ndarray:

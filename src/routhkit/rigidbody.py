@@ -24,9 +24,7 @@ import numpy as np
 
 from .errors import ChartBoundary, GridMismatch, InvalidParams, SpanTooShort
 from .integrate import Trajectory, cumulative_quadrature
-from .reduction import BOUNDARY_TOL, SymmetricSystem
-
-TWO_PI = 2.0 * math.pi
+from .reduction import BOUNDARY_TOL, TWO_PI, SymmetricSystem
 
 
 @dataclass(frozen=True)

@@ -89,11 +89,13 @@ def _result(name: str, value: float, tolerance: float, detail: str = "") -> Chec
 
 def random_system(rng: np.random.Generator, n: int = None, k: int = None,
                   l: int = None, constant: bool = True) -> SymmetricSystem:
-    """Random symmetric system with a (possibly q-dependent) SPD matrix."""
+    """Random symmetric system with a (possibly q-dependent) SPD matrix.
+    Counts left as None are drawn; l = 1 replaces a drawn k = l = 0."""
+    drawn = k is None and l is None
     n = int(rng.integers(1, 4)) if n is None else n
     k = int(rng.integers(0, 4)) if k is None else k
     l = int(rng.integers(0, 4)) if l is None else l
-    if k + l == 0:
+    if drawn and k + l == 0:
         l = 1
     d = n + k + l
     base = rng.normal(size=(d, d))

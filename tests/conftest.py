@@ -7,6 +7,7 @@ from routhkit import (
     RigidBodyParams,
     central_force_system,
     rb_system,
+    reduced_vector_field,
 )
 
 # Frozen test geometry: triaxial free body and a zero-momentum initial state
@@ -44,6 +45,12 @@ def rng():
 @pytest.fixture(scope="session")
 def central_force():
     return central_force_system()
+
+
+def reduced_field(sys, f, r):
+    """(qdot, qddot): the reduced vector field at the reduced state r."""
+    out = np.array(reduced_vector_field(sys, f)(r.to_vector()))
+    return out[:sys.n], out[sys.n:]
 
 
 def body_rates(phi, theta, phidot, thetadot, psidot):

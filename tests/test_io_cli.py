@@ -430,7 +430,7 @@ def test_cli_t_end_flag_inf_exit_2(tmp_path, capsys):
 EXIT_CODES = {
     "RouthkitError": 2, "ConfigError": 2, "InvalidParams": 2,
     "ChartBoundary": 3, "NotPositiveDefinite": 3, "SingularReducedMass": 3,
-    "OffSurface": 3, "TangencyViolation": 3, "NonPositiveFactor": 3,
+    "OffSurface": 3, "NonPositiveFactor": 3,
     "MomentumMismatch": 4, "GridMismatch": 4, "SpanTooShort": 4,
     "StepFailure": 5, "MaxStepsExceeded": 5, "NoConvergence": 5,
 }

@@ -24,7 +24,6 @@ from routhkit import (
     heavy_potential,
     rb_system,
     reduced_energy,
-    reduced_rhs,
     reduced_vector_field,
     routhian,
     shape_momentum,
@@ -34,6 +33,8 @@ from routhkit import reduction
 from routhkit.integrate import full_rhs
 from routhkit.reduction import evaluate_metric, gradient, metric_grad, potential_grad
 from routhkit.verify import random_system
+
+from conftest import reduced_field
 
 
 def chart_states(rng, sys, count):
@@ -71,7 +72,7 @@ def test_central_force_reduced_accel_closed_form(rng):
         r = rng.uniform(0.3, 3.0)
         eta = rng.normal()
         f = MomentumValue(xi=[], eta=[eta])
-        _, qddot = reduced_rhs(sys, f, ReducedState(q=[r], qdot=[rng.normal()]))
+        _, qddot = reduced_field(sys, f, ReducedState(q=[r], qdot=[rng.normal()]))
         expected = eta ** 2 / r ** 3 - k * r
         assert qddot[0] == pytest.approx(expected, rel=1e-8, abs=1e-8)
 
@@ -116,7 +117,7 @@ def test_reduced_accel_matches_mpmath_routhian_oracle(triaxial_params, triaxial_
     with mpmath.workdps(50):
         for q in chart_states(rng, triaxial_system, 4):
             qdot = rng.normal(size=2)
-            _, qddot = reduced_rhs(triaxial_system, f, ReducedState(q=q, qdot=qdot))
+            _, qddot = reduced_field(triaxial_system, f, ReducedState(q=q, qdot=qdot))
             oracle = _routhian_accel_oracle(triaxial_params, eta, q, qdot)
             scale = max(1.0, float(np.max(np.abs(oracle))))
             assert np.max(np.abs(qddot - oracle)) <= 1e-10 * scale
@@ -193,6 +194,13 @@ def test_random_system_exercises_the_finite_difference_fallback(rng):
     y = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
     reduced_vector_field(counted, f)(y)
     assert len(calls) == 1 + 2 * sys.n
+
+
+@pytest.mark.parametrize("constant", [True, False], ids=["constant", "varying"])
+def test_random_system_keeps_explicit_empty_cyclic_block(rng, constant):
+    sys = random_system(rng, n=2, k=0, l=0, constant=constant)
+    assert (sys.n, sys.k, sys.l) == (2, 0, 0)
+    assert evaluate_metric(sys, rng.normal(size=2)).shape == (2, 2)
 
 
 def test_conformal_grad_bit_identical_to_the_former_loop(rng):
@@ -294,7 +302,7 @@ def test_float_path_matches_numpy_path(case):
     f = MomentumValue(xi=c[:sys.k], eta=c[sys.k:])
 
     # reduced right-hand side at momentum c
-    _, qddot = reduced_rhs(sys, f, ReducedState(q=q, qdot=qdot))
+    _, qddot = reduced_field(sys, f, ReducedState(q=q, qdot=qdot))
     v = np.concatenate([qdot, _numpy_cyclic(sys, q, qdot, c)])
     expected, size = _numpy_accel(sys, q, v)
     assert np.all(np.abs(qddot - expected[:sys.n]) <= 1e-12 * size[:sys.n])
