@@ -96,12 +96,20 @@ class Trajectory:
 
 @dataclass
 class PeriodicOrbit:
-    """Refined periodic orbit: initial state, period, and closure gap."""
+    """Refined periodic orbit: initial state, period, and closure gap.
+
+    ``iterations`` counts the accepted damped steps of the shooter,
+    ``closure_history`` holds the closure after each of them (and after the
+    final undamped step when it was kept) and ``jacobians`` the number of
+    finite-difference Jacobians built.
+    """
 
     initial_state: np.ndarray
     period: float
     closure_error: float
     iterations: int = 0
+    closure_history: tuple = ()
+    jacobians: int = 0
 
     def __post_init__(self):
         self.initial_state = np.asarray(self.initial_state, dtype=float)
@@ -498,22 +506,28 @@ def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
                    tol: float = 1e-8, max_iter: int = 25,
                    phase_index: int = 0,
                    angle_indices: tuple = ()) -> PeriodicOrbit:
-    """Newton refinement of a periodic orbit of ``flow``.
+    """Newton-Broyden refinement of a periodic orbit of ``flow``.
 
-    Solves flow(s, T) = s jointly in (s, T) with a finite-difference
-    Jacobian and one phase condition pinning coordinate ``phase_index`` of
-    the state to its initial value; the least-squares step handles the
-    neutral directions of orbit families.  An input that is already
-    periodic to tolerance is returned unchanged.
+    Solves flow(s, T) = s jointly in (s, T) with one phase condition
+    pinning coordinate ``phase_index`` of the state to its initial value;
+    the least-squares step handles the neutral directions of orbit
+    families.  One forward-difference Jacobian is built at the start and
+    kept current by Broyden's rank-one update after each accepted damped
+    step; it is rebuilt only when the line search stalls on an updated
+    Jacobian.  Once the closure is within ``tol``, one more undamped step
+    is taken and kept only if it lowers the closure.  An input that is
+    already periodic to tolerance is returned unchanged.
 
     Args:
         cfg: ignored (``flow`` carries its own settings); kept for positional callers.
+        max_iter: accepted damped steps allowed before giving up.
         angle_indices: state components that live on a circle; their
             closure gap is taken modulo 2*pi (rotation-type orbits close
             only up to full turns of the chart angle).
 
     Raises:
-        NoConvergence: closure error above ``tol`` after ``max_iter`` steps.
+        NoConvergence: closure error above ``tol`` after ``max_iter`` steps,
+            or the line search stalled on a freshly built Jacobian.
     """
     s = np.asarray(guess, dtype=float).copy()
     T = float(T_guess)
@@ -525,13 +539,17 @@ def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
             r[j] = (r[j] + np.pi) % (2.0 * np.pi) - np.pi
         return np.append(r, state[phase_index] - anchor)
 
+    def closure_of(res):
+        return float(np.max(np.abs(res[:-1])))
+
     r = residual(s, T)
-    closure = float(np.max(np.abs(r[:-1])))
+    closure = closure_of(r)
     if closure <= tol:
         return PeriodicOrbit(initial_state=s, period=T, closure_error=closure, iterations=0)
 
     d = s.size
-    for it in range(1, max_iter + 1):
+
+    def fd_jacobian(s, T, r):
         J = np.empty((d + 1, d + 1))
         for j in range(d):
             h = 1e-6 * max(1.0, abs(s[j]))
@@ -540,6 +558,13 @@ def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
             J[:, j] = (residual(sp, T) - r) / h
         hT = 1e-6 * max(1.0, abs(T))
         J[:, d] = (residual(s, T + hT) - r) / hT
+        return J
+
+    J = fd_jacobian(s, T, r)
+    jacobians, fresh = 1, True
+    history = []
+    it = 0
+    while it < max_iter:
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
 
         # damped update: halve until the closure improves
@@ -549,18 +574,37 @@ def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
             T_new = T + lam * step[d]
             if T_new > 1e-6 * abs(T_guess):
                 r_new = residual(s_new, T_new)
-                c_new = float(np.max(np.abs(r_new[:-1])))
+                c_new = closure_of(r_new)
                 if c_new < closure or c_new <= tol:
                     break
             lam *= 0.5
         else:
-            raise NoConvergence(
-                f"shooting stalled at closure error {closure:.3e} (tol {tol:.1e})"
-            )
+            if fresh:
+                raise NoConvergence(
+                    f"shooting stalled at closure error {closure:.3e} (tol {tol:.1e})"
+                )
+            J = fd_jacobian(s, T, r)
+            jacobians, fresh = jacobians + 1, True
+            continue
+        # Broyden: the secant condition J dx = dr along the step just taken
+        dx = lam * step
+        J += np.outer(r_new - r - J @ dx, dx) / (dx @ dx)
+        fresh = False
         s, T, r, closure = s_new, T_new, r_new, c_new
+        it += 1
+        history.append(closure)
         if closure <= tol:
+            # superlinear steps stop just under tol; keep one more if it helps
+            step, *_ = np.linalg.lstsq(J, -r, rcond=None)
+            s_new, T_new = s + step[:d], T + step[d]
+            if T_new > 1e-6 * abs(T_guess):
+                c_new = closure_of(residual(s_new, T_new))
+                if c_new < closure:
+                    s, T, closure = s_new, T_new, c_new
+                    history.append(closure)
             return PeriodicOrbit(initial_state=s, period=T, closure_error=closure,
-                                 iterations=it)
+                                 iterations=it, closure_history=tuple(history),
+                                 jacobians=jacobians)
     raise NoConvergence(
         f"shooting did not reach tol={tol:.1e} in {max_iter} iterations "
         f"(closure {closure:.3e})"

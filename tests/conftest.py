@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from routhkit import (
     MomentumValue,
@@ -9,6 +10,11 @@ from routhkit import (
     rb_system,
     reduced_vector_field,
 )
+
+# Hypothesis draws the same examples on every run and keeps no example
+# database between runs, so the suite's outcome does not depend on history.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 # Frozen test geometry: triaxial free body and a zero-momentum initial state
 # whose nutation stays in [1.0, 2.14] over t = 100 (checked numerically).

@@ -391,6 +391,33 @@ def test_sections_refine_perturbed_period_guess(triaxial):
     assert orbit.iterations >= 1
 
 
+def test_perturbed_geodesic_refines_with_one_jacobian():
+    # a closed geodesic of the (1, 1.5, 2) body at h = 0.5, perturbed by 1e-3
+    # of the state's norm with a period guess 1% off: one finite-difference
+    # Jacobian (d + 1 = 7 propagations) and Broyden updates close it
+    from routhkit.integrate import shoot_periodic
+    p, cd = RigidBodyParams(1.0, 1.5, 2.0), ConformalData(h=0.5)
+    cfg = IntegratorConfig(method="rk45", dt=1e-2, abs_tol=1e-12, rel_tol=1e-12)
+    rng = np.random.default_rng(1)
+    seed, T_guess = section_seed(p, cd, "x")
+    direction = rng.normal(size=6)
+    state = seed + 1e-3 * np.linalg.norm(seed) * direction / np.linalg.norm(direction)
+    guess = np.concatenate(project_to_surface(p, state[:3], state[3:]))
+    calls = []
+
+    def flow(s, T):
+        calls.append(T)
+        return constrained_flow(p, cd, EllipsoidState.from_vector(s), 0.0, T, cfg).states[-1]
+
+    orbit = shoot_periodic(flow, guess, 1.01 * T_guess,
+                           phase_index=3 + int(np.argmax(np.abs(guess[3:]))))
+    assert len(calls) <= 16
+    assert orbit.closure_error <= 1e-8
+    assert orbit.jacobians == 1
+    assert orbit.closure_history[-1] == orbit.closure_error
+    assert len(orbit.closure_history) >= orbit.iterations >= 1
+
+
 def test_flow_match_covers_the_whole_window():
     # a(u) reaches ABC / min(A, B, C) = 3 on this body, so the physical time
     # of one section period can exceed max(A, B, C) windows; the image must

@@ -13,6 +13,7 @@ from routhkit import (
     MomentumValue,
     NoConvergence,
     NonPositiveFactor,
+    PeriodicOrbit,
     ReducedState,
     StepFailure,
     Trajectory,
@@ -460,6 +461,32 @@ def test_shoot_no_orbit_raises():
         return s + T
     with pytest.raises(NoConvergence):
         shoot_periodic(drift_flow, [0.0], 1.0, max_iter=8)
+
+
+def test_shoot_rebuilds_jacobian_when_broyden_stalls():
+    # flow(s, T) = s + g(T) with g piecewise linear: rising steeply through
+    # a root at T = 1.4, falling through a second root at T = 1.5 + 0.3/1.4.
+    # The first Newton step lands on the falling branch (T = 2) with a
+    # smaller gap; the secant slope there still rises, so every damped step
+    # along it grows the gap, and only a rebuilt Jacobian reaches the root.
+    def g(T):
+        return float(np.interp(T, [1.0, 1.1, 1.5, 4.0], [-1.0, -0.9, 0.3, -3.2]))
+
+    def flow(s, T):
+        return s + g(T)
+
+    orbit = shoot_periodic(flow, [0.0], 1.0)
+    assert orbit.jacobians >= 2
+    assert orbit.closure_error <= 1e-8
+    assert orbit.period == pytest.approx(1.5 + 0.3 / 1.4, abs=1e-9)
+    assert list(orbit.closure_history) == sorted(orbit.closure_history, reverse=True)
+
+
+def test_periodic_orbit_positional_fields_keep_their_order():
+    orbit = PeriodicOrbit([1.0, 0.0], TWO_PI, 0.0, 3)
+    assert orbit.iterations == 3
+    assert orbit.closure_history == ()
+    assert orbit.jacobians == 0
 
 
 # ---------------------------------------------------------------------------
