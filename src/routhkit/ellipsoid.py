@@ -291,7 +291,7 @@ def constrained_flow(p: RigidBodyParams, cd: ConformalData, s0: EllipsoidState,
     start = project(s0.to_vector())
     traj = integrate_ode(_flow_rhs(p, cd, physical_time), start, t0, t1, cfg,
                          project=project)
-    traj.meta = TrajectoryMeta(system="ellipsoid", chart="embedded", energy0=cd.h)
+    traj.meta = TrajectoryMeta(system="ellipsoid", energy0=cd.h)
     return traj
 
 
@@ -359,7 +359,6 @@ def section_seed(p: RigidBodyParams, cd: ConformalData, plane: str):
     whole 4001-point grid at once.
 
     Raises:
-        OffSurface: a grid point misses the constraint beyond tolerance.
         InvalidParams: the energy does not exceed the potential somewhere
             on the ellipse, so the zero-energy speed is not real.
     """
@@ -374,7 +373,6 @@ def section_seed(p: RigidBodyParams, cd: ConformalData, plane: str):
     u = np.zeros((alpha.size, 3))  # one grid point per row
     u[:, i] = cos_a / ri
     u[:, j] = sin_a / rj
-    _require_on_surface(p, u)
     if cd.potential is None:
         margin = np.full(alpha.size, cd.h)
     else:

@@ -9,7 +9,7 @@ produce bit-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,6 +31,7 @@ from .reduction import (
     _reduced_accel,
     accel,
     energy_full,
+    fd_step,
     momentum_map,
     reduced_energy,
     solve_cyclic,
@@ -71,27 +72,22 @@ class TrajectoryMeta:
 
     system: str = ""
     momentum: Optional[MomentumValue] = None
-    chart: str = ""
     energy0: Optional[float] = None
 
 
 @dataclass
 class Trajectory:
-    """Samples of an integral curve on a strictly increasing time grid."""
+    """Samples of an integral curve on a finite, strictly increasing time grid."""
 
     times: np.ndarray
     states: np.ndarray
     meta: TrajectoryMeta = field(default_factory=TrajectoryMeta)
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = _grid(self.times)
         self.states = np.asarray(self.states, dtype=float)
-        if self.times.ndim != 1 or self.times.size < 2:
-            raise ValueError("need at least two samples")
         if self.states.shape[0] != self.times.size:
             raise ValueError("times and states must have matching length")
-        if not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
 
 
 @dataclass
@@ -204,11 +200,11 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
     """
     y = np.asarray(s0, dtype=float).tolist()
     t0, t1 = float(t0), float(t1)
+    if not t1 > t0:
+        raise ValueError("t1 must exceed t0")
     k1 = rhs(y)
     if not _finite(k1):
         raise StepFailure("non-finite derivative at the initial state")
-    if not t1 > t0:
-        raise ValueError("t1 must exceed t0")
 
     if cfg.method == "rk4":
         span = t1 - t0
@@ -274,10 +270,8 @@ def propagate(rhs, s0, t0: float, t1: float, cfg: IntegratorConfig,
     """Final state of the flow over [t0, t1]; ``integrate_ode`` stores every step on the way.
 
     ``rhs`` and ``project`` follow the ``integrate_ode`` contract: a list of
-    floats in, a sequence of floats out.
+    floats in, a sequence of floats out.  A span with t1 <= t0 raises ValueError.
     """
-    if t1 == t0:
-        return np.asarray(s0, dtype=float).copy()
     return integrate_ode(rhs, s0, t0, t1, cfg, project=project).states[-1]
 
 
@@ -288,14 +282,17 @@ def integrate_grid(rhs, s0, grid, dt: float, project=None) -> np.ndarray:
     floats in, a sequence of floats out.
 
     Raises:
+        ValueError: ``grid`` breaks the ``cumulative_quadrature`` grid
+            contract, or ``dt`` is not finite and positive.
         StepFailure: a substep produced a non-finite (or overflowing) state.
     """
-    grid = np.asarray(grid, dtype=float)
-    ts = grid.tolist()
+    ts = _grid(grid).tolist()
+    if not 0.0 < dt < math.inf:
+        raise ValueError("dt must be finite and positive")
     y = np.asarray(s0, dtype=float).tolist()
-    out = np.empty((grid.size, len(y)))
+    out = np.empty((len(ts), len(y)))
     out[0] = y
-    for i in range(grid.size - 1):
+    for i in range(len(ts) - 1):
         seg = ts[i + 1] - ts[i]
         n_sub = max(1, int(math.ceil(seg / dt - 1e-12)))
         h = seg / n_sub
@@ -335,7 +332,6 @@ def integrate_full(sys: SymmetricSystem, s0: FullState, t0: float, t1: float,
     traj.meta = TrajectoryMeta(
         system=sys.name,
         momentum=momentum_map(sys, s0),
-        chart="primary",
         energy0=energy_full(sys, s0),
     )
     return traj
@@ -365,10 +361,21 @@ def integrate_reduced(sys: SymmetricSystem, f: MomentumValue, r0: ReducedState,
     traj.meta = TrajectoryMeta(
         system=sys.name,
         momentum=f,
-        chart="primary",
         energy0=reduced_energy(sys, f, r0),
     )
     return traj
+
+
+def _grid(times) -> np.ndarray:
+    """``times`` as a float array: 1-D, at least two finite, strictly increasing samples."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1 or t.size < 2:
+        raise ValueError("need at least two samples")
+    if not np.isfinite(t).all():
+        raise ValueError("times must be finite")
+    if not (t[1:] > t[:-1]).all():
+        raise ValueError("times must be strictly increasing")
+    return t
 
 
 def cumulative_quadrature(times, values) -> np.ndarray:
@@ -385,14 +392,8 @@ def cumulative_quadrature(times, values) -> np.ndarray:
         ValueError: the grid breaks the contract or ``values`` does not
             align with it.
     """
-    t = np.asarray(times, dtype=float)
+    t = _grid(times)
     y = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("need at least two samples")
-    if not np.isfinite(t).all():
-        raise ValueError("times must be finite")
-    if not (t[1:] > t[:-1]).all():
-        raise ValueError("times must be strictly increasing")
     if y.shape[0] != t.size:
         raise ValueError("values must align with times")
     out = np.zeros_like(y)
@@ -460,17 +461,10 @@ def reconstruct(sys: SymmetricSystem, f: MomentumValue, red: Trajectory,
         w[i] = solve_cyclic(sys, red.states[i, :n], red.states[i, n:2 * n], f)
     cyc = cumulative_quadrature(red.times, w)
     cyc += np.concatenate([x0, psi0])
-    states = np.column_stack([
-        red.states[:, :n],          # q
-        cyc[:, :sys.k],             # x
-        cyc[:, sys.k:],             # psi (continuous lift)
-        red.states[:, n:2 * n],     # qdot
-        w[:, :sys.k],               # xdot
-        w[:, sys.k:],               # psidot
-    ])
+    states = np.column_stack([red.states[:, :n], cyc, red.states[:, n:2 * n], w])
     return Trajectory(times=red.times.copy(), states=states,
                       meta=TrajectoryMeta(system=sys.name, momentum=f,
-                                          chart=red.meta.chart, energy0=red.meta.energy0))
+                                          energy0=red.meta.energy0))
 
 
 def reparametrize_time(traj: Trajectory, factor) -> Trajectory:
@@ -496,9 +490,7 @@ def reparametrize_time(traj: Trajectory, factor) -> Trajectory:
             f"time-change factor {vals[k]:.6g} at sample {k} is not positive and finite"
         )
     tau = cumulative_quadrature(traj.times, 1.0 / vals)
-    return Trajectory(times=tau, states=traj.states.copy(),
-                      meta=TrajectoryMeta(system=traj.meta.system, momentum=traj.meta.momentum,
-                                          chart=traj.meta.chart, energy0=traj.meta.energy0))
+    return Trajectory(times=tau, states=traj.states.copy(), meta=replace(traj.meta))
 
 
 def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
@@ -508,15 +500,17 @@ def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
                    angle_indices: tuple = ()) -> PeriodicOrbit:
     """Newton-Broyden refinement of a periodic orbit of ``flow``.
 
-    Solves flow(s, T) = s jointly in (s, T) with one phase condition
-    pinning coordinate ``phase_index`` of the state to its initial value;
-    the least-squares step handles the neutral directions of orbit
-    families.  One forward-difference Jacobian is built at the start and
-    kept current by Broyden's rank-one update after each accepted damped
-    step; it is rebuilt only when the line search stalls on an updated
-    Jacobian.  Once the closure is within ``tol``, one more undamped step
-    is taken and kept only if it lowers the closure.  An input that is
-    already periodic to tolerance is returned unchanged.
+    Solves flow(s, T) = s for the unknown vector z = (s, T), with one phase
+    condition pinning coordinate ``phase_index`` of the state to its
+    initial value; the least-squares step handles the neutral directions
+    of orbit families.  One forward-difference Jacobian, each column
+    stepped by ``reduction.fd_step``, is built at the start and kept
+    current by Broyden's rank-one update after each accepted damped step;
+    it is rebuilt only when the line search stalls on an updated Jacobian.
+    Trial periods must exceed 1e-6 |T_guess|.  Once the closure is within
+    ``tol``, one more undamped step is taken and kept only if it lowers
+    the closure.  An input that is already periodic to tolerance is
+    returned unchanged.
 
     Args:
         cfg: ignored (``flow`` carries its own settings); kept for positional callers.
@@ -529,51 +523,46 @@ def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
         NoConvergence: closure error above ``tol`` after ``max_iter`` steps,
             or the line search stalled on a freshly built Jacobian.
     """
-    s = np.asarray(guess, dtype=float).copy()
-    T = float(T_guess)
-    anchor = s[phase_index]
+    z = np.append(np.asarray(guess, dtype=float), float(T_guess))
+    anchor = z[:-1][phase_index]
+    T_min = 1e-6 * abs(T_guess)
 
-    def residual(state, period):
-        r = flow(state, period) - state
+    def residual(z):
+        s = z[:-1]
+        r = flow(s, float(z[-1])) - s
         for j in angle_indices:
             r[j] = (r[j] + np.pi) % (2.0 * np.pi) - np.pi
-        return np.append(r, state[phase_index] - anchor)
+        return np.append(r, s[phase_index] - anchor)
 
     def closure_of(res):
         return float(np.max(np.abs(res[:-1])))
 
-    r = residual(s, T)
+    r = residual(z)
     closure = closure_of(r)
     if closure <= tol:
-        return PeriodicOrbit(initial_state=s, period=T, closure_error=closure, iterations=0)
+        return PeriodicOrbit(initial_state=z[:-1], period=float(z[-1]), closure_error=closure)
 
-    d = s.size
-
-    def fd_jacobian(s, T, r):
-        J = np.empty((d + 1, d + 1))
-        for j in range(d):
-            h = 1e-6 * max(1.0, abs(s[j]))
-            sp = s.copy()
-            sp[j] += h
-            J[:, j] = (residual(sp, T) - r) / h
-        hT = 1e-6 * max(1.0, abs(T))
-        J[:, d] = (residual(s, T + hT) - r) / hT
+    def fd_jacobian(z, r):
+        J = np.empty((z.size, z.size))
+        for j in range(z.size):
+            h = fd_step(z[j])
+            zp = z.copy()
+            zp[j] += h
+            J[:, j] = (residual(zp) - r) / h
         return J
 
-    J = fd_jacobian(s, T, r)
+    J = fd_jacobian(z, r)
     jacobians, fresh = 1, True
     history = []
-    it = 0
-    while it < max_iter:
+    while len(history) < max_iter:
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
 
         # damped update: halve until the closure improves
         lam = 1.0
         for _ in range(10):
-            s_new = s + lam * step[:d]
-            T_new = T + lam * step[d]
-            if T_new > 1e-6 * abs(T_guess):
-                r_new = residual(s_new, T_new)
+            z_new = z + lam * step
+            if z_new[-1] > T_min:
+                r_new = residual(z_new)
                 c_new = closure_of(r_new)
                 if c_new < closure or c_new <= tol:
                     break
@@ -583,28 +572,28 @@ def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
                 raise NoConvergence(
                     f"shooting stalled at closure error {closure:.3e} (tol {tol:.1e})"
                 )
-            J = fd_jacobian(s, T, r)
+            J = fd_jacobian(z, r)
             jacobians, fresh = jacobians + 1, True
             continue
         # Broyden: the secant condition J dx = dr along the step just taken
         dx = lam * step
         J += np.outer(r_new - r - J @ dx, dx) / (dx @ dx)
         fresh = False
-        s, T, r, closure = s_new, T_new, r_new, c_new
-        it += 1
+        z, r, closure = z_new, r_new, c_new
         history.append(closure)
         if closure <= tol:
+            iterations = len(history)
             # superlinear steps stop just under tol; keep one more if it helps
             step, *_ = np.linalg.lstsq(J, -r, rcond=None)
-            s_new, T_new = s + step[:d], T + step[d]
-            if T_new > 1e-6 * abs(T_guess):
-                c_new = closure_of(residual(s_new, T_new))
+            z_new = z + step
+            if z_new[-1] > T_min:
+                c_new = closure_of(residual(z_new))
                 if c_new < closure:
-                    s, T, closure = s_new, T_new, c_new
+                    z, closure = z_new, c_new
                     history.append(closure)
-            return PeriodicOrbit(initial_state=s, period=T, closure_error=closure,
-                                 iterations=it, closure_history=tuple(history),
-                                 jacobians=jacobians)
+            return PeriodicOrbit(initial_state=z[:-1], period=float(z[-1]),
+                                 closure_error=closure, iterations=iterations,
+                                 closure_history=tuple(history), jacobians=jacobians)
     raise NoConvergence(
         f"shooting did not reach tol={tol:.1e} in {max_iter} iterations "
         f"(closure {closure:.3e})"

@@ -428,7 +428,7 @@ def reduced_mass_matrix(sys: SymmetricSystem, q) -> np.ndarray:
 
 
 def fd_step(value: float) -> float:
-    """Central-difference step for first derivatives: max(1e-6, 1e-6 |value|)."""
+    """Finite-difference step for first derivatives: max(1e-6, 1e-6 |value|)."""
     return max(1e-6, 1e-6 * abs(value))
 
 

@@ -41,8 +41,7 @@ def write_trajectory_csv(path: str, traj: Trajectory, labels: List[str]) -> None
             f"{len(labels)} labels for {traj.states.shape[1]} state columns"
         )
     meta = traj.meta
-    lines = [f"# system = {json.dumps(meta.system)}",
-             f"# chart = {json.dumps(meta.chart)}"]
+    lines = [f"# system = {json.dumps(meta.system)}"]
     if meta.energy0 is not None:
         lines.append(f"# energy0 = {json.dumps(meta.energy0)}")
     if meta.momentum is not None:
@@ -99,7 +98,6 @@ def read_trajectory_csv(path: str) -> Tuple[Trajectory, List[str]]:
                 eta=np.asarray(meta_kv.get("momentum_eta", []), dtype=float))
         meta = TrajectoryMeta(system=meta_kv.get("system", ""),
                               momentum=momentum,
-                              chart=meta_kv.get("chart", ""),
                               energy0=meta_kv.get("energy0"))
         traj = Trajectory(times=data[:, 0], states=data[:, 1:], meta=meta)
     except (TypeError, ValueError) as exc:

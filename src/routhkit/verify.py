@@ -299,8 +299,7 @@ def map_reduced_trajectory(params: RigidBodyParams, red: Trajectory) -> Trajecto
     img = np.concatenate([kolosov_map(params, phi, theta),
                           kolosov_velocity(params, phi, theta, phidot, thetadot)], axis=1)
     return Trajectory(times=red.times.copy(), states=img,
-                      meta=TrajectoryMeta(system="ellipsoid", chart="embedded",
-                                          energy0=red.meta.energy0))
+                      meta=TrajectoryMeta(system="ellipsoid", energy0=red.meta.energy0))
 
 
 @dataclass

@@ -91,6 +91,47 @@ def test_max_steps_exceeded():
                       IntegratorConfig(dt=1e-4, max_steps=10))
 
 
+@pytest.mark.parametrize("rhs, s0, t1, cfg, error, message", [
+    (osc_rhs, [1.0, 0.0], 100.0, IntegratorConfig(method="rk45", dt=1e-3, max_steps=3),
+     MaxStepsExceeded, "max_steps=3"),
+    # y' = y^2 from y = 1 blows up at t = 1
+    (lambda y: [y[0] ** 2], [1.0], 2.0, IntegratorConfig(method="rk45"),
+     StepFailure, "step size underflow"),
+], ids=["step-budget", "step-underflow"])
+def test_rk45_raise_paths(rhs, s0, t1, cfg, error, message):
+    with pytest.raises(error, match=message):
+        integrate_ode(rhs, s0, 0.0, t1, cfg)
+
+
+@pytest.mark.parametrize("run", [
+    lambda rhs: propagate(rhs, [1.0, 0.0], 1.0, 1.0, OSC_CFG),
+    lambda rhs: integrate_ode(rhs, [1.0, 0.0], 1.0, 0.5, OSC_CFG),
+], ids=["propagate-zero-span", "integrate_ode-backward"])
+def test_empty_or_backward_span_refused_before_any_rhs_call(run):
+    calls = []
+
+    def rhs(y):
+        calls.append(y)
+        return osc_rhs(y)
+
+    with pytest.raises(ValueError, match="t1 must exceed t0"):
+        run(rhs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("grid, dt, message", [
+    ([0.0, -1.0], 0.1, "strictly increasing"),
+    ([0.0], 0.1, "at least two samples"),
+    ([0.0, np.nan], 0.1, "finite"),
+    ([0.0, 1.0], -0.1, "dt must be finite and positive"),
+    ([0.0, 1.0], np.nan, "dt must be finite and positive"),
+    ([0.0, 1.0], np.inf, "dt must be finite and positive"),
+], ids=["backward", "one-sample", "nan-time", "negative-dt", "nan-dt", "inf-dt"])
+def test_integrate_grid_refuses_bad_grid_or_step(grid, dt, message):
+    with pytest.raises(ValueError, match=message):
+        integrate_grid(osc_rhs, [1.0, 0.0], grid, dt)
+
+
 def test_non_finite_derivative_rejected():
     with pytest.raises(StepFailure):
         integrate_ode(lambda y: np.array([np.nan]), [1.0], 0.0, 1.0, OSC_CFG)
@@ -480,6 +521,20 @@ def test_shoot_rebuilds_jacobian_when_broyden_stalls():
     assert orbit.closure_error <= 1e-8
     assert orbit.period == pytest.approx(1.5 + 0.3 / 1.4, abs=1e-9)
     assert list(orbit.closure_history) == sorted(orbit.closure_history, reverse=True)
+
+
+def test_shoot_stalls_on_a_fresh_jacobian():
+    # the period column of the first Jacobian is ~1e-6, so every damped
+    # step drives the period below its floor and none is evaluated
+    calls = []
+
+    def flow(s, T):
+        calls.append(T)
+        return s + 1.0 + (T - 1.0) ** 2
+
+    with pytest.raises(NoConvergence, match="stalled"):
+        shoot_periodic(flow, [0.0], 1.0)
+    assert len(calls) == 3
 
 
 def test_periodic_orbit_positional_fields_keep_their_order():

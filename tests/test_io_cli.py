@@ -1,5 +1,6 @@
 """Serialization, configuration validation, CLI verbs and exit codes."""
 
+import ast
 import inspect
 import json
 import os
@@ -62,7 +63,7 @@ def make_trajectory(rng):
     states = rng.normal(size=(50, 4))
     meta = TrajectoryMeta(system="rigid-body",
                           momentum=MomentumValue(xi=[], eta=[rng.normal()]),
-                          chart="primary", energy0=float(rng.normal()))
+                          energy0=float(rng.normal()))
     return Trajectory(times=times, states=states, meta=meta)
 
 
@@ -70,13 +71,18 @@ def test_csv_round_trip_bit_exact(tmp_path, rng):
     traj = make_trajectory(rng)
     path = str(tmp_path / "traj.csv")
     write_trajectory_csv(path, traj, ["a", "b", "c", "d"])
-    back, labels = read_trajectory_csv(path)
-    assert labels == ["a", "b", "c", "d"]
-    assert np.array_equal(back.times, traj.times)
-    assert np.array_equal(back.states, traj.states)
-    assert back.meta.system == "rigid-body"
-    assert back.meta.momentum.matches(traj.meta.momentum)
-    assert back.meta.energy0 == traj.meta.energy0
+    # files written while trajectories carried a chart field have a chart line
+    older = tmp_path / "older.csv"
+    text = (tmp_path / "traj.csv").read_text()
+    older.write_text(text.replace("\n", '\n# chart = "primary"\n', 1))
+    for source in (path, str(older)):
+        back, labels = read_trajectory_csv(source)
+        assert labels == ["a", "b", "c", "d"]
+        assert np.array_equal(back.times, traj.times)
+        assert np.array_equal(back.states, traj.states)
+        assert back.meta.system == "rigid-body"
+        assert back.meta.momentum.matches(traj.meta.momentum)
+        assert back.meta.energy0 == traj.meta.energy0
 
 
 def test_csv_rejects_label_mismatch(tmp_path, rng):
@@ -139,6 +145,16 @@ def test_readme_example_config_parses():
     cfg = parse_config(yaml.safe_load(block))
     assert cfg.system == "rigid-body"
     assert cfg.initial_reduced is not None
+
+
+def test_readme_library_quick_start_runs(capsys):
+    with open(README_PATH) as handle:
+        text = handle.read()
+    block = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, README_PATH, "exec"), {})
+    periods = ast.literal_eval(capsys.readouterr().out)
+    assert sorted(periods) == ["x", "y", "z"]
+    assert all(period > 0 for period in periods.values())
 
 
 @pytest.mark.parametrize("content, message", [
