@@ -188,18 +188,22 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
     Args:
         rhs: autonomous state derivative.
         s0: initial state vector.
-        t0, t1: integration window, t1 > t0.
+        t0, t1: integration window, t1 > t0 and t1 - t0 finite.
         cfg: integrator settings.
         project: optional constraint projection applied after each accepted
             step (used by constrained surface flows).
 
     Raises:
+        ValueError: the span is not finite (t0 or t1 infinite or nan), or
+            t1 <= t0; raised before ``rhs`` is evaluated.
         StepFailure: step size underflow, or a non-finite (or overflowing)
             derivative or state.
         MaxStepsExceeded: step budget exhausted.
     """
     y = np.asarray(s0, dtype=float).tolist()
     t0, t1 = float(t0), float(t1)
+    if not math.isfinite(t1 - t0):
+        raise ValueError(f"integration span [{t0:.6g}, {t1:.6g}] must be finite")
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
     k1 = rhs(y)
@@ -270,7 +274,8 @@ def propagate(rhs, s0, t0: float, t1: float, cfg: IntegratorConfig,
     """Final state of the flow over [t0, t1]; ``integrate_ode`` stores every step on the way.
 
     ``rhs`` and ``project`` follow the ``integrate_ode`` contract: a list of
-    floats in, a sequence of floats out.  A span with t1 <= t0 raises ValueError.
+    floats in, a sequence of floats out.  A span that is not finite, or one
+    with t1 <= t0, raises ValueError.
     """
     return integrate_ode(rhs, s0, t0, t1, cfg, project=project).states[-1]
 

@@ -423,7 +423,7 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
                       f"mean speed {speeds.mean():.6g}, expect h*sqrt(2) = {h * np.sqrt(2):.6g}")
 
     # relative-periodicity quantities on the chart-representable orbit
-    lam, T_eq, endpoint, rotating = _equatorial_analysis(params, sys, f0, h, dt)
+    lam, T_eq, endpoint, rotating = _equatorial_analysis(params, sys, f0, h)
 
     return KolosovReport(h=h, window=window_tau, zero_energy_relation=rel_a,
                          flow_match=match_b, speed_constancy=const_c,
@@ -434,9 +434,20 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
 
 
 def _equatorial_analysis(params: RigidBodyParams, sys: SymmetricSystem,
-                         f0: MomentumValue, h: float, dt: float):
+                         f0: MomentumValue, h: float):
     """Detect the equatorial periodic reduced orbit and certify its average
     precession rate and relative periodicity in the rotating frame.
+
+    The orbit is shot with DP45 at the shooter's step tolerance
+    (``_SHOOT_CFG``, 1e-12) and then integrated again at the same setting
+    in two legs, [0, T] and [T, 2T], the second starting from the last
+    state of the first.  The joined legs are reconstructed once.  lambda
+    is the average of psidot over the first leg, and the endpoint identity
+    psi(T) - psi(0) = lambda T is read at the leg boundary.  Nothing here
+    depends on the RK4 step of the rest of the run.  The orbit is a uniform
+    rotation (theta = pi/2, phi linear in t), so the rotating-frame
+    residual's linear interpolation on the coarse adaptive grid of the
+    second leg is exact up to rounding.
 
     The other two principal-section orbits cross the chart poles and are
     analyzed on the ellipsoid only.
@@ -452,15 +463,16 @@ def _equatorial_analysis(params: RigidBodyParams, sys: SymmetricSystem,
                            phase_index=2, angle_indices=(0,))
     T = orbit.period
 
-    steps = max(2, int(round(T / dt)))
-    cfg = IntegratorConfig(method="rk4", dt=T / steps, max_steps=10_000_000)
     r_start = ReducedState.from_vector(sys, orbit.initial_state)
-    red = integrate_reduced(sys, f0, r_start, 0.0, 2.0 * T, cfg)
+    leg1 = integrate_reduced(sys, f0, r_start, 0.0, T, _SHOOT_CFG)
+    leg2 = integrate_reduced(sys, f0, ReducedState.from_vector(sys, leg1.states[-1]),
+                             T, 2.0 * T, _SHOOT_CFG)
+    red = Trajectory(times=np.concatenate([leg1.times, leg2.times[1:]]),
+                     states=np.concatenate([leg1.states, leg2.states[1:]]), meta=leg1.meta)
     full = reconstruct(sys, f0, red, x0=None, psi0=[0.0])
 
-    first = red.times <= T + 1e-12
-    lam = lambda_average(red.times[first], full.states[first, 5], T)
-    i_T = int(np.searchsorted(red.times, T))
+    i_T = leg1.times.size - 1
+    lam = lambda_average(leg1.times, full.states[:i_T + 1, 5], T)
     defect = abs(full.states[i_T, 2] - full.states[0, 2] - lam * T)
     endpoint = _result("lambda-endpoint-consistency", defect, 1e-8,
                        f"|psi(T) - psi(0) - lambda T| at T={T:.6g}")

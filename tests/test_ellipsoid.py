@@ -28,6 +28,7 @@ from routhkit import (
     maupertuis_speed,
     principal_section_orbits,
     project_to_surface,
+    reduced_energy,
     section_seed,
     surface_residual,
 )
@@ -37,6 +38,8 @@ from routhkit.ellipsoid import (
     _flow_rhs,
     constraint_gradient,
 )
+from routhkit import integrate as integ
+from routhkit import verify
 from routhkit.verify import run_kolosov
 
 
@@ -426,6 +429,45 @@ def test_flow_match_covers_the_whole_window():
                       dt=1e-2, energy_target=20.0)
     assert rep.image_tau.times[-1] >= rep.window
     assert all(r.passed for r in rep.results())
+
+
+def test_equatorial_results_do_not_depend_on_dt(triaxial_params, triaxial_system,
+                                               zero_momentum, generic_state):
+    # the equatorial orbit is shot and integrated with DP45 at the shooting
+    # tolerance, so halving the RK4 step of the rest of the run leaves every
+    # equatorial number unchanged to the bit
+    h0 = reduced_energy(triaxial_system, zero_momentum, generic_state)
+    reps = [run_kolosov(triaxial_params, generic_state, dt=dt, energy_target=100.0 * h0)
+            for dt in (4e-3, 2e-3)]
+    a, b = ([r.equatorial_period, r.lambda_avg, r.endpoint_defect.value, r.rotating_frame.value]
+            for r in reps)
+    assert a == b
+    assert all(r.passed for rep in reps for r in rep.results())
+
+
+def test_equatorial_analysis_rhs_budget(monkeypatch, triaxial_params, triaxial_system,
+                                        zero_momentum, generic_state):
+    # DP45 resolves the uniform rotation in a few steps per period; work that
+    # grows like T / dt (about 139,000 calls at dt = 1e-3) fails the budget
+    field = integ.reduced_vector_field
+    calls = [0]
+
+    def counted_field(sys, f):
+        rhs = field(sys, f)
+
+        def counted(y):
+            calls[0] += 1
+            return rhs(y)
+
+        return counted
+
+    monkeypatch.setattr(integ, "reduced_vector_field", counted_field)
+    monkeypatch.setattr(verify, "reduced_vector_field", counted_field)
+    h = reduced_energy(triaxial_system, zero_momentum, generic_state)
+    _, _, endpoint, rotating = verify._equatorial_analysis(
+        triaxial_params, triaxial_system, zero_momentum, h)
+    assert 0 < calls[0] < 1000
+    assert endpoint.passed and rotating.passed
 
 
 def test_run_kolosov_refuses_a_heavy_body():

@@ -119,6 +119,23 @@ def test_empty_or_backward_span_refused_before_any_rhs_call(run):
     assert calls == []
 
 
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+@pytest.mark.parametrize("call", [integrate_ode, propagate])
+@pytest.mark.parametrize("t0, t1", [
+    (0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan), (np.nan, 1.0), (-1e308, 1e308),
+], ids=["t1-inf", "t0-minus-inf", "t1-nan", "t0-nan", "span-overflows"])
+def test_non_finite_span_refused_before_any_rhs_call(t0, t1, call, method):
+    calls = []
+
+    def rhs(y):
+        calls.append(y)
+        return osc_rhs(y)
+
+    with pytest.raises(ValueError, match="must be finite"):
+        call(rhs, [1.0, 0.0], t0, t1, IntegratorConfig(method=method, dt=0.01))
+    assert calls == []
+
+
 @pytest.mark.parametrize("grid, dt, message", [
     ([0.0, -1.0], 0.1, "strictly increasing"),
     ([0.0], 0.1, "at least two samples"),
