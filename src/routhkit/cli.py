@@ -20,7 +20,7 @@ from .errors import ConfigError, RouthkitError
 from .integrate import Trajectory, integrate_full, integrate_reduced, reconstruct
 from .reduction import TWO_PI
 from .trajectory_io import read_trajectory_csv, write_atomic, write_trajectory_csv
-from .verify import energy_drift, momentum_drift, report_dict, run_kolosov, run_verify
+from .verify import energy_drift, momentum_drift, run_kolosov, run_verify
 
 EXIT_OK = 0
 EXIT_CONSISTENCY = 4
@@ -88,20 +88,24 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK
 
 
-def _print_results(results) -> bool:
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        print(f"[{status}] {r.name}: value {r.value:.3e} (tolerance {r.tolerance:.1e})"
-              + (f" - {r.detail}" if r.detail else ""))
-    return all(r.passed for r in results)
+def _print_results(report: dict) -> bool:
+    """One pass/fail line per check of a report; True when all passed."""
+    for c in report["checks"]:
+        status = "PASS" if c["passed"] else "FAIL"
+        print(f"[{status}] {c['name']}: value {c['value']:.3e} (tolerance {c['tolerance']:.1e})"
+              + (f" - {c['detail']}" if c["detail"] else ""))
+    return report["all_passed"]
 
 
 def _zero_momentum_params(cfg: cfgmod.RunConfig):
-    """Rigid-body parameters of a verb that runs at zero momentum only."""
+    """Rigid-body parameters of a verb that runs at zero momentum with RK4 only."""
     params = cfgmod.build_params(cfg)
     if np.any(cfg.momentum.as_vector() != 0.0):
         raise ConfigError(f"this command runs at zero momentum, got "
                           f"{np.array2string(cfg.momentum.as_vector())}")
+    if cfg.integrator.method != "rk4":
+        raise ConfigError(f"this command integrates with rk4 at dt, "
+                          f"got integrator.method {cfg.integrator.method}")
     return params
 
 
@@ -109,10 +113,10 @@ def cmd_verify(args) -> int:
     cfg = _load(args)
     params = _zero_momentum_params(cfg)
     r0 = cfgmod.initial_reduced_state(cfg)
-    results = run_verify(params, r0, t_end=cfg.t_end, dt=cfg.integrator.dt)
-    ok = _print_results(results)
+    report = run_verify(params, r0, t_end=cfg.t_end, dt=cfg.integrator.dt)
+    ok = _print_results(report)
     path = cfg.output or "verify_report.json"
-    write_atomic(path, json.dumps(report_dict(results, system=cfg.system), indent=2))
+    write_atomic(path, json.dumps(report, indent=2))
     print(("all checks passed" if ok else "some checks FAILED") + f"; report: {path}")
     return EXIT_OK if ok else EXIT_CONSISTENCY
 
@@ -121,27 +125,23 @@ def cmd_kolosov(args) -> int:
     cfg = _load(args)
     params = _zero_momentum_params(cfg)
     r0 = cfgmod.initial_reduced_state(cfg)
-    report = run_kolosov(params, r0, dt=cfg.integrator.dt, energy_target=cfg.energy_target)
+    report, image = run_kolosov(params, r0, dt=cfg.integrator.dt,
+                                energy_target=cfg.energy_target)
 
-    print(f"energy constant h = {report.h:.12g}")
-    print(f"comparison window: one equatorial section period = {report.window:.6g}")
-    for plane in ("x", "y", "z"):
-        sec = report.sections[plane]
+    print(f"energy constant h = {report['h']:.12g}")
+    print(f"comparison window: one equatorial section period = {report['window']:.6g}")
+    for plane, sec in report["sections"].items():
         print(f"section {plane}=0: period {sec['period']:.12g}, "
               f"closure {sec['closure_error']:.3e}, "
               f"length {sec['dsigma_length']:.12g}")
-    print(f"equatorial reduced orbit: period {report.equatorial_period:.12g}, "
-          f"average precession rate {report.lambda_avg:.6g}")
-    ok = _print_results(report.results())
+    print(f"equatorial reduced orbit: period {report['equatorial_period']:.12g}, "
+          f"average precession rate {report['lambda']:.6g}")
+    ok = _print_results(report)
 
     traj_path = cfg.output or "ellipsoid.csv"
-    write_trajectory_csv(traj_path, report.image_tau,
-                         ["x", "y", "z", "xdot", "ydot", "zdot"])
+    write_trajectory_csv(traj_path, image, ["x", "y", "z", "xdot", "ydot", "zdot"])
     report_path = args.report or "kolosov_report.json"
-    payload = {**report_dict(report.results(), system=cfg.system),
-               "h": report.h, "window": report.window, "sections": report.sections,
-               "lambda": report.lambda_avg, "equatorial_period": report.equatorial_period}
-    write_atomic(report_path, json.dumps(payload, indent=2))
+    write_atomic(report_path, json.dumps(report, indent=2))
     print(f"wrote {traj_path} (rescaled-time image) and {report_path}")
     return EXIT_OK if ok else EXIT_CONSISTENCY
 

@@ -1,14 +1,15 @@
 """Invariant suites: reduction self-checks and the ellipsoid equivalence.
 
 Every check returns a CheckResult with the measured residual and its
-tolerance, so the CLI can print one pass/fail line per check and emit a
-machine-readable report.  The same functions back the acceptance tests.
+tolerance.  ``run_verify`` and ``run_kolosov`` gather them into the report
+that the CLI prints and writes (``report_dict``).  The same functions back
+the acceptance tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -267,25 +268,35 @@ def momentum_drift(sys: SymmetricSystem, full: Trajectory, stride: int,
 
 
 def run_verify(params: RigidBodyParams, r0: ReducedState, t_end: float = 10.0,
-               dt: float = 1e-3) -> List[CheckResult]:
-    """Default verification suite for the CLI."""
-    results = [
+               dt: float = 1e-3) -> dict:
+    """Default verification suite: the report that ``routhkit verify`` writes.
+
+    The report holds the algebraic checks, then the projection and
+    reconstruction checks over [0, t_end] at RK4 step ``dt``; its fields
+    are pinned by ``schemas/verify_report.schema.json``.
+    """
+    checks = [
         momentum_round_trip_check(),
         determinant_identity_check(params),
         zero_momentum_degeneration_check(params),
         closed_form_lagrangian_check(params),
         asymmetric_rejection_check(),
     ]
-    results.extend(projection_equivalence_check(params, r0, t_end=t_end, dt=dt))
-    return results
+    checks.extend(projection_equivalence_check(params, r0, t_end=t_end, dt=dt))
+    return report_dict(checks)
 
 
-def report_dict(results: List[CheckResult], system: str = "rigid-body") -> dict:
+def report_dict(checks: List[CheckResult], **fields) -> dict:
+    """A JSON report: the common fields, then ``fields`` in the order given.
+
+    Both reporting verbs run on the rigid body only, so ``system`` is fixed.
+    """
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "system": system,
-        "all_passed": all(r.passed for r in results),
-        "checks": [asdict(r) for r in results],
+        "system": "rigid-body",
+        "all_passed": all(c.passed for c in checks),
+        "checks": [asdict(c) for c in checks],
+        **fields,
     }
 
 
@@ -302,38 +313,19 @@ def map_reduced_trajectory(params: RigidBodyParams, red: Trajectory) -> Trajecto
                       meta=TrajectoryMeta(system="ellipsoid", energy0=red.meta.energy0))
 
 
-@dataclass
-class KolosovReport:
-    """Results of the free-body ellipsoid equivalence run."""
-
-    h: float
-    window: float
-    zero_energy_relation: CheckResult
-    flow_match: CheckResult
-    speed_constancy: CheckResult
-    sections: Dict[str, dict]
-    periods_distinct: Optional[CheckResult]
-    lambda_avg: float
-    equatorial_period: float
-    endpoint_defect: CheckResult
-    rotating_frame: CheckResult
-    image_tau: Trajectory
-
-    def results(self) -> List[CheckResult]:
-        out = [self.zero_energy_relation, self.flow_match, self.speed_constancy]
-        if self.periods_distinct is not None:
-            out.append(self.periods_distinct)
-        out.extend([self.endpoint_defect, self.rotating_frame])
-        return out
-
-
 def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
-                energy_target: Optional[float] = None) -> KolosovReport:
+                energy_target: Optional[float] = None) -> Tuple[dict, Trajectory]:
     """Free-body pipeline: map, rescale time, compare flows, find geodesics.
 
     The energy constant is taken from the initial state unless
     ``energy_target`` rescales the initial velocity first.  The comparison
     window is one period of the equatorial section orbit in rescaled time.
+
+    Returns the report that ``routhkit kolosov`` writes and the
+    rescaled-time image on the ellipsoid that it writes as CSV.  After the
+    common fields the report carries ``h``, ``window``, ``sections``,
+    ``lambda`` and ``equatorial_period``; the section-period check is made
+    for triaxial and spherical bodies only.
 
     Raises:
         InvalidParams: ``params`` carries a potential; the run covers the
@@ -369,16 +361,16 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
     periods = [sections[p]["period"] for p in ("x", "y", "z")]
     gaps = [abs(periods[0] - periods[1]), abs(periods[1] - periods[2]),
             abs(periods[0] - periods[2])]
-    distinct: Optional[CheckResult] = None
+    period_checks = []
     moments = (params.A, params.B, params.C)
     if len(set(moments)) == 3:
-        distinct = CheckResult(name="section-periods-distinct",
-                               passed=bool(min(gaps) > 1e-6),
-                               value=float(min(gaps)), tolerance=1e-6,
-                               detail="pairwise period separation (pass if above)")
+        period_checks.append(CheckResult(name="section-periods-distinct",
+                                         passed=bool(min(gaps) > 1e-6),
+                                         value=float(min(gaps)), tolerance=1e-6,
+                                         detail="pairwise period separation (pass if above)"))
     elif len(set(moments)) == 1:
-        distinct = _result("section-periods-equal", max(gaps), 1e-8,
-                           "sphere: all three periods agree")
+        period_checks.append(_result("section-periods-equal", max(gaps), 1e-8,
+                                     "sphere: all three periods agree"))
 
     window_tau = sections["z"]["period"]
     # matched rescaled-time data at the image of r0: u' = a(u) udot
@@ -425,12 +417,9 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
     # relative-periodicity quantities on the chart-representable orbit
     lam, T_eq, endpoint, rotating = _equatorial_analysis(params, sys, f0, h)
 
-    return KolosovReport(h=h, window=window_tau, zero_energy_relation=rel_a,
-                         flow_match=match_b, speed_constancy=const_c,
-                         sections=sections, periods_distinct=distinct,
-                         lambda_avg=lam, equatorial_period=T_eq,
-                         endpoint_defect=endpoint, rotating_frame=rotating,
-                         image_tau=image_tau)
+    checks = [rel_a, match_b, const_c, *period_checks, endpoint, rotating]
+    return report_dict(checks, h=h, window=window_tau, sections=sections,
+                       **{"lambda": lam}, equatorial_period=T_eq), image_tau
 
 
 def _equatorial_analysis(params: RigidBodyParams, sys: SymmetricSystem,

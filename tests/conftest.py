@@ -59,6 +59,11 @@ def reduced_field(sys, f, r):
     return out[:sys.n], out[sys.n:]
 
 
+def check(report, name):
+    """The entry of the check ``name`` in a verify or kolosov report."""
+    return next(c for c in report["checks"] if c["name"] == name)
+
+
 def body_rates(phi, theta, phidot, thetadot, psidot):
     """Body-frame angular velocity components for the Euler-angle chart."""
     w1 = psidot * np.sin(theta) * np.sin(phi) + thetadot * np.cos(phi)

@@ -30,6 +30,8 @@ from routhkit.verify import (
     zero_momentum_degeneration_check,
 )
 
+from conftest import check
+
 DT = 1e-3
 
 
@@ -40,6 +42,7 @@ def _report(criterion: str, ok: bool, detail: str) -> bool:
 
 @pytest.fixture(scope="module")
 def kolosov_report(triaxial_params, generic_state):
+    """The kolosov report and the rescaled-time image of the acceptance run."""
     return run_kolosov(triaxial_params, generic_state, dt=DT)
 
 
@@ -115,25 +118,25 @@ def test_criterion_5_conservation(triaxial_system, zero_momentum, generic_state)
 
 
 def test_criterion_6_ellipsoid_equivalence(kolosov_report):
-    rep = kolosov_report
-    a = rep.zero_energy_relation
-    b = rep.flow_match
-    c = rep.speed_constancy
-    tau_end = float(rep.image_tau.times[-1])
+    rep, image = kolosov_report
+    a = check(rep, "zero-energy-relation")
+    b = check(rep, "conformal-flow-match")
+    c = check(rep, "rescaled-speed-constancy")
+    tau_end = float(image.times[-1])
     ok = _report(
         "criterion 6 ellipsoid equivalence",
-        a.passed and b.passed and c.passed and tau_end >= rep.window,
-        f"zero-energy relation {a.value:.3e} <= 1e-6; "
-        f"flow sup gap {b.value:.3e} <= 1e-5 over tau in [0, {rep.window:.4g}] "
+        a["passed"] and b["passed"] and c["passed"] and tau_end >= rep["window"],
+        f"zero-energy relation {a['value']:.3e} <= 1e-6; "
+        f"flow sup gap {b['value']:.3e} <= 1e-5 over tau in [0, {rep['window']:.4g}] "
         f"(image reaches {tau_end:.4g}); "
-        f"speed variation {c.value:.3e} <= 1e-5")
+        f"speed variation {c['value']:.3e} <= 1e-5")
     assert ok
 
 
 def test_criterion_7_closed_geodesics(kolosov_report):
-    closures = {plane: kolosov_report.sections[plane]["closure_error"]
-                for plane in ("x", "y", "z")}
-    periods = [kolosov_report.sections[plane]["period"] for plane in ("x", "y", "z")]
+    sections = kolosov_report[0]["sections"]
+    closures = {plane: sections[plane]["closure_error"] for plane in ("x", "y", "z")}
+    periods = [sections[plane]["period"] for plane in ("x", "y", "z")]
     triaxial_ok = max(closures.values()) <= 1e-8
     distinct = float(np.min(np.diff(np.sort(periods))))
 
@@ -155,24 +158,36 @@ def test_criterion_7_closed_geodesics(kolosov_report):
 
 
 def test_criterion_8_rotating_frame(kolosov_report):
-    endpoint = kolosov_report.endpoint_defect
-    rotating = kolosov_report.rotating_frame
+    rep = kolosov_report[0]
+    endpoint = check(rep, "lambda-endpoint-consistency")
+    rotating = check(rep, "rotating-frame-periodicity")
     ok = _report(
         "criterion 8 rotating-frame periodicity",
-        endpoint.passed and rotating.passed,
-        f"|psi(T)-psi(0)-lambda T| = {endpoint.value:.3e} <= 1e-8; "
-        f"residual over second period {rotating.value:.3e} <= 1e-6 "
-        f"(lambda = {kolosov_report.lambda_avg:.3e}, "
-        f"T = {kolosov_report.equatorial_period:.6g})")
+        endpoint["passed"] and rotating["passed"],
+        f"|psi(T)-psi(0)-lambda T| = {endpoint['value']:.3e} <= 1e-8; "
+        f"residual over second period {rotating['value']:.3e} <= 1e-6 "
+        f"(lambda = {rep['lambda']:.3e}, "
+        f"T = {rep['equatorial_period']:.6g})")
     assert ok
 
 
 def test_equatorial_orbit_closed_form(kolosov_report, triaxial_params):
     # the equatorial orbit spins about the C axis at omega = sqrt(2h / C)
     # without precessing; the shooter starts from and keeps this closed form
-    T = 2.0 * np.pi * np.sqrt(triaxial_params.C / (2.0 * kolosov_report.h))
-    assert abs(kolosov_report.equatorial_period - T) <= 1e-12 * T
-    assert abs(kolosov_report.lambda_avg) <= 1e-12
+    rep = kolosov_report[0]
+    T = 2.0 * np.pi * np.sqrt(triaxial_params.C / (2.0 * rep["h"]))
+    assert abs(rep["equatorial_period"] - T) <= 1e-12 * T
+    assert abs(rep["lambda"]) <= 1e-12
+
+
+def test_z_section_length_is_the_equatorial_orbit_time(kolosov_report):
+    # the z-section geodesic is the image of the equatorial reduced orbit; on
+    # the zero-energy level sqrt(h a) |u'| = sqrt(2) h a, and a d(tau) = dt, so
+    # its sigma-length is sqrt(2) h T_eq.  The left side is RK4 quadrature on
+    # the ellipsoid, the right side the DP45 shot in the Euler-angle chart.
+    rep = kolosov_report[0]
+    expected = np.sqrt(2.0) * rep["h"] * rep["equatorial_period"]
+    assert abs(rep["sections"]["z"]["dsigma_length"] - expected) <= 1e-9 * expected
 
 
 def test_criterion_9_rk4_order():

@@ -348,6 +348,57 @@ def test_cli_verify_report_validates_against_schema(tmp_path, capsys):
     assert report["all_passed"] is True
 
 
+@pytest.fixture(scope="module")
+def kolosov_cli_report(tmp_path_factory):
+    """The report that ``routhkit kolosov`` writes for the triaxial body at smoke size."""
+    tmp_path = tmp_path_factory.mktemp("kolosov")
+    cfg_path = write_config(tmp_path, base_config(energy_target=19.49, dt=0.01))
+    report_path = str(tmp_path / "kolosov_report.json")
+    assert main(["kolosov", "--config", cfg_path, "--output", str(tmp_path / "ell.csv"),
+                 "--report", report_path]) == 0
+    with open(report_path) as handle:
+        return json.load(handle)
+
+
+def test_cli_kolosov_report_validates_against_schema(kolosov_cli_report):
+    jsonschema = pytest.importorskip("jsonschema")
+    with open(SCHEMA_PATH) as handle:
+        jsonschema.validate(kolosov_cli_report, json.load(handle))
+    assert list(kolosov_cli_report) == ["schema_version", "system", "all_passed", "checks",
+                                        "h", "window", "sections", "lambda",
+                                        "equatorial_period"]
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda r: r.pop("equatorial_period"),
+    lambda r: r["sections"]["y"].pop("dsigma_length"),
+    lambda r: r.update(comment="extra"),
+    lambda r: r["sections"].pop("x"),
+    lambda r: r["sections"]["z"].update(comment="extra"),
+    lambda r: r.update(h=-1.0),
+    lambda r: [r.pop(key) for key in ("window", "sections", "lambda", "equatorial_period")],
+], ids=["no-equatorial_period", "section-without-dsigma_length", "extra-top-level-key",
+        "no-x-section", "extra-section-key", "negative-h", "lone-kolosov-field"])
+def test_schema_refuses_malformed_kolosov_reports(kolosov_cli_report, corrupt):
+    jsonschema = pytest.importorskip("jsonschema")
+    report = json.loads(json.dumps(kolosov_cli_report))
+    corrupt(report)
+    with open(SCHEMA_PATH) as handle:
+        schema = json.load(handle)
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(report, schema)
+
+
+@pytest.mark.parametrize("verb", ["verify", "kolosov"])
+def test_cli_rk4_verbs_refuse_another_integrator(tmp_path, capsys, verb):
+    # both verbs integrate with RK4 at dt, so another method is refused, not ignored
+    cfg_path = write_config(tmp_path, base_config(integrator={"method": "rk45",
+                                                              "max_steps": 3}))
+    assert main([verb, "--config", cfg_path, "--output", str(tmp_path / "out")]) == 2
+    assert "integrator.method rk45" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_cli_kolosov_refuses_energy_below_potential(tmp_path, capsys):
     cfg = base_config()
     cfg["potential"] = {"kind": "heavy", "coefficient": 2.0}
