@@ -309,23 +309,29 @@ def integrate_grid(rhs, s0, grid, dt: float, project=None) -> np.ndarray:
     return out
 
 
+def _floats(y) -> list:
+    """The state as a list of floats: the ``integrate_ode`` contract."""
+    return y if isinstance(y, list) else np.asarray(y, dtype=float).tolist()
+
+
 def full_rhs(sys: SymmetricSystem) -> Callable[[list], list]:
     """Right-hand side of the full Euler-Lagrange system in all coordinates.
 
     The kinetic matrix and potential depend on the shape coordinates only,
     so the generalized force has no cyclic-position terms and the momentum
     integral is a first integral of the assembled field by construction.
-    The state is converted to an array once and the derivative returned as
-    a list of floats, the ``integrate_ode`` contract.
+    The velocities are read from the state as floats and the derivative is
+    returned as a list of floats, the ``integrate_ode`` contract; only the
+    shape position is handed to the system as an array.
     """
     n = sys.n
     d = sys.dim
 
     def rhs(y) -> list:
-        y = np.asarray(y, dtype=float)
-        q = y[:n]
+        y = _floats(y)
+        q = np.array(y[:n], dtype=float)
         v = y[d:]
-        return v.tolist() + accel(sys, q, v, *_checked_metric(sys, q)).tolist()
+        return v + accel(sys, q, v, *_checked_metric(sys, q))
 
     return rhs
 
@@ -345,16 +351,16 @@ def integrate_full(sys: SymmetricSystem, s0: FullState, t0: float, t1: float,
 def reduced_vector_field(sys: SymmetricSystem, f: MomentumValue):
     """Reduced second-order field as a first-order rhs on (q, qdot).
 
-    Like ``full_rhs`` it converts the state to an array once and returns
-    the derivative as a list of floats.
+    Like ``full_rhs`` it reads the velocities as floats and returns the
+    derivative as a list of floats.
     """
     n = sys.n
-    c = f.as_vector()
+    c = f.as_vector().tolist()
 
     def rhs(y) -> list:
-        y = np.asarray(y, dtype=float)
+        y = _floats(y)
         qdot = y[n:]
-        return qdot.tolist() + _reduced_accel(sys, c, y[:n], qdot).tolist()
+        return qdot + _reduced_accel(sys, c, np.array(y[:n], dtype=float), qdot)
 
     return rhs
 

@@ -11,6 +11,7 @@ pure functions of their inputs and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -27,8 +28,13 @@ BOUNDARY_TOL = 1e-6
 # Relative tolerance on the symmetry defect of the kinetic matrix.
 SYMMETRY_TOL = 1e-12
 # Kinetic matrices up to this size are validated, factored and solved on
-# Python floats; numpy's per-call overhead outweighs the work below it.
+# Python floats by a kernel written out for d <= 3; numpy's per-call
+# overhead outweighs the work below it.
 _FLOAT_MAX_DIM = 3
+# Row and column indices of the packed upper triangle (row-major) and its
+# length, for the sizes a system may hand its metric in packed form.
+_UPPER = {d: tuple(zip(*[(i, j) for i in range(d) for j in range(i, d)])) for d in (1, 2, 3)}
+_PACKED = {d: len(rows) for d, (rows, _) in _UPPER.items()}
 
 TWO_PI = 2.0 * np.pi
 
@@ -52,28 +58,36 @@ class SymmetricSystem:
         l: Number of angle-type cyclic coordinates psi.
         mass_matrix: Callable q -> symmetric positive definite
             (n+k+l) x (n+k+l) kinetic matrix (energy per squared velocity).
+            For d = n+k+l <= 3 it may instead return the packed upper
+            triangle: a flat tuple of d(d+1)/2 floats in row-major order,
+            (K00, K01, K02, K11, K12, K22) for d = 3.  A packed triangle is
+            checked for its length, finiteness and positive pivots; a
+            full matrix for its shape, finiteness, symmetry and positive
+            pivots.  The public metric names (``evaluate_metric``,
+            ``metric_grad``, ...) return full arrays either way.
         potential: Callable q -> potential energy.
         pole_guard: Optional callable q -> distance to the chart boundary.
             Evaluations with guard value below ``BOUNDARY_TOL`` raise
             ChartBoundary.
         name: Short identifier used in trajectory metadata.
         mass_matrix_grad: Optional callable q -> (n, d, d) array whose
-            entry b is dK/dq_b.  Without it the dynamics take central
-            differences of ``mass_matrix``.
+            entry b is dK/dq_b, or for d <= 3 a tuple of n packed
+            triangles.  Without it the dynamics take central differences
+            of ``mass_matrix``.
         potential_grad: Optional callable q -> (n,) gradient of the
-            potential.  Without it the dynamics take central differences
-            of ``potential``.
+            potential (an array, or a tuple of n floats).  Without it the
+            dynamics take central differences of ``potential``.
     """
 
     n: int
     k: int
     l: int
-    mass_matrix: Callable[[np.ndarray], np.ndarray]
+    mass_matrix: Callable[[np.ndarray], object]
     potential: Callable[[np.ndarray], float]
     pole_guard: Optional[Callable[[np.ndarray], float]] = None
     name: str = "system"
-    mass_matrix_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    potential_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    mass_matrix_grad: Optional[Callable[[np.ndarray], object]] = None
+    potential_grad: Optional[Callable[[np.ndarray], object]] = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -182,17 +196,156 @@ def guard_chart(sys: SymmetricSystem, q: np.ndarray) -> None:
             )
 
 
+def _unpack(P, d: int) -> np.ndarray:
+    """Full symmetric d x d matrix from its packed upper triangle."""
+    rows, cols = _UPPER[d]
+    K = np.empty((d, d))
+    K[rows, cols] = P
+    K[cols, rows] = P
+    return K
+
+
+def _wrong_size(raw: tuple, d: int, what: str) -> ValueError:
+    return ValueError(f"packed {what} must have {_PACKED[d]} entries, got {len(raw)}")
+
+
+def _as_matrix(raw, d: int) -> np.ndarray:
+    """A metric as returned by a system, as a (d, d) array; the shape is checked."""
+    if isinstance(raw, tuple) and d in _UPPER:
+        if len(raw) != _PACKED[d]:
+            raise _wrong_size(raw, d, "kinetic matrix")
+        return _unpack(raw, d)
+    K = np.asarray(raw, dtype=float)
+    if K.shape != (d, d):
+        raise ValueError(f"kinetic matrix must be ({d},{d}), got {K.shape}")
+    return K
+
+
 def _metric_raw(sys: SymmetricSystem, q: np.ndarray) -> np.ndarray:
-    """Guarded metric evaluation without definiteness checks.
+    """Guarded metric evaluation as a full matrix, without definiteness checks.
 
     Used for finite-difference probe points a step away from a state whose
     matrix was already validated.
     """
     guard_chart(sys, q)
-    K = np.asarray(sys.mass_matrix(q), dtype=float)
-    if K.shape != (sys.dim, sys.dim):
-        raise ValueError(f"kinetic matrix must be ({sys.dim},{sys.dim}), got {K.shape}")
-    return K
+    return _as_matrix(sys.mass_matrix(q), sys.dim)
+
+
+_NON_FINITE = "kinetic matrix has a non-finite entry"
+_INDEFINITE = "kinetic matrix is not positive definite"
+
+
+def _pivot(value: float) -> float:
+    if not value > 0.0:
+        raise NotPositiveDefinite(_INDEFINITE)
+    return math.sqrt(value)
+
+
+def _factor(P) -> tuple:
+    """Cyclic-first Cholesky factor of a packed kinetic matrix, d <= 3.
+
+    The factor is lower triangular for the matrix with its coordinates in
+    reverse order, so the cyclic block comes first; it is stored row by
+    row, (l00, l10, l11, l20, l21, l22) for d = 3, and its leading m rows
+    factor the trailing m x m block of K.  A pivot that is not > 0 is the
+    definiteness check.
+    """
+    if len(P) == 6:
+        k00, k01, k02, k11, k12, k22 = P
+        l00 = _pivot(k22)
+        l10 = k12 / l00
+        l20 = k02 / l00
+        l11 = _pivot(k11 - l10 * l10)
+        l21 = (k01 - l20 * l10) / l11
+        return l00, l10, l11, l20, l21, _pivot(k00 - l20 * l20 - l21 * l21)
+    if len(P) == 3:
+        k00, k01, k11 = P
+        l00 = _pivot(k11)
+        l10 = k01 / l00
+        return l00, l10, _pivot(k00 - l10 * l10)
+    return (_pivot(P[0]),)
+
+
+def _solve(L: tuple, b: list) -> list:
+    """Solve B x = b for the trailing len(b) x len(b) block B of K.
+
+    ``L`` is K's ``_factor`` factor; its leading rows factor B.  ``b`` and
+    the result are in K's coordinate order.
+    """
+    if len(b) == 3:
+        l00, l10, l11, l20, l21, l22 = L
+        y0 = b[2] / l00
+        y1 = (b[1] - l10 * y0) / l11
+        y2 = (b[0] - l20 * y0 - l21 * y1) / l22 / l22
+        y1 = (y1 - l21 * y2) / l11
+        return [y2, y1, (y0 - l10 * y1 - l20 * y2) / l00]
+    if len(b) == 2:
+        l00, l10, l11 = L[:3]
+        y0 = b[1] / l00
+        y1 = (b[0] - l10 * y0) / l11 / l11
+        return [y1, (y0 - l10 * y1) / l00]
+    if len(b) == 1:
+        return [b[0] / L[0] / L[0]]
+    return []
+
+
+def _sym_mv(P, v) -> list:
+    """Packed symmetric matrix times v (d <= 3)."""
+    if len(v) == 3:
+        p0, p1, p2, p3, p4, p5 = P
+        v0, v1, v2 = v
+        return [p0 * v0 + p1 * v1 + p2 * v2,
+                p1 * v0 + p3 * v1 + p4 * v2,
+                p2 * v0 + p4 * v1 + p5 * v2]
+    if len(v) == 2:
+        p0, p1, p2 = P
+        v0, v1 = v
+        return [p0 * v0 + p1 * v1, p1 * v0 + p2 * v1]
+    return [P[0] * v[0]]
+
+
+def _force(dK, g, v: list, n: int) -> list:
+    """Generalized force on packed derivatives dK_b = dK/dq_b (d <= 3).
+
+    Every row carries -sum_b qdot_b (dK_b v); the shape rows a < n add
+    0.5 v.dK_a v - g_a.
+    """
+    quad = []
+    if len(v) == 3:
+        v0, v1, v2 = v
+        f0 = f1 = f2 = 0.0
+        for b in range(n):
+            p0, p1, p2, p3, p4, p5 = dK[b]
+            t0 = p0 * v0 + p1 * v1 + p2 * v2
+            t1 = p1 * v0 + p3 * v1 + p4 * v2
+            t2 = p2 * v0 + p4 * v1 + p5 * v2
+            vb = v[b]
+            f0 += vb * t0
+            f1 += vb * t1
+            f2 += vb * t2
+            quad.append(0.5 * (t0 * v0 + t1 * v1 + t2 * v2) - g[b])
+        force = [-f0, -f1, -f2]
+    elif len(v) == 2:
+        v0, v1 = v
+        f0 = f1 = 0.0
+        for b in range(n):
+            p0, p1, p2 = dK[b]
+            t0 = p0 * v0 + p1 * v1
+            t1 = p1 * v0 + p2 * v1
+            vb = v[b]
+            f0 += vb * t0
+            f1 += vb * t1
+            quad.append(0.5 * (t0 * v0 + t1 * v1) - g[b])
+        force = [-f0, -f1]
+    else:
+        p0 = dK[0][0]
+        v0 = v[0]
+        t0 = p0 * v0
+        force = [-(v0 * t0)]
+        quad.append(0.5 * (t0 * v0) - g[0])
+    for a in range(n):
+        force[a] += quad[a]
+    return force
 
 
 def _asymmetric(defect: float) -> NotPositiveDefinite:
@@ -202,87 +355,35 @@ def _asymmetric(defect: float) -> NotPositiveDefinite:
     )
 
 
-_NON_FINITE = "kinetic matrix has a non-finite entry"
-_INDEFINITE = "kinetic matrix is not positive definite"
-
-
-def _float_factor(rows: list) -> list:
-    """Validate a small kinetic matrix on floats and return its Cholesky factor.
-
-    The factor is lower triangular, stored as ragged rows, for the matrix
-    with its coordinates in reverse order, so the cyclic block comes
-    first: the leading (k+l) rows factor the reversed cyclic block D.  A
-    pivot that is not > 0 is the definiteness check.
-    """
-    d = len(rows)
-    flat = [x for row in rows for x in row]
-    if not all(map(math.isfinite, flat)):
-        raise NotPositiveDefinite(_NON_FINITE)
-    scale = max(1.0, max(flat), -min(flat))
-    defect = 0.0
-    for i in range(d):
-        row = rows[i]
-        for j in range(i):
-            defect = max(defect, abs(row[j] - rows[j][i]))
-    if defect > SYMMETRY_TOL * scale:
-        raise _asymmetric(defect)
-    L = []
-    for i in range(d - 1, -1, -1):
-        row = rows[i]
-        out = []
-        for j, Lj in enumerate(L):
-            acc = row[d - 1 - j]
-            for p in range(j):
-                acc -= out[p] * Lj[p]
-            out.append(acc / Lj[j])
-        acc = row[i]
-        for x in out:
-            acc -= x * x
-        if not acc > 0.0:
-            raise NotPositiveDefinite(_INDEFINITE)
-        out.append(math.sqrt(acc))
-        L.append(out)
-    return L
-
-
-def _factor_solve(L: list, b: list) -> list:
-    """Solve (L L^T) x = b on floats with the leading len(b) rows of L.
-
-    ``b`` and the result are in the factor's (reversed) coordinate order.
-    """
-    m = len(b)
-    y = list(b)
-    for i in range(m):
-        Li = L[i]
-        acc = y[i]
-        for p in range(i):
-            acc -= Li[p] * y[p]
-        y[i] = acc / Li[i]
-    for i in range(m - 1, -1, -1):
-        acc = y[i]
-        for p in range(i + 1, m):
-            acc -= L[p][i] * y[p]
-        y[i] = acc / L[i][i]
-    return y
-
-
 def _checked_metric(sys: SymmetricSystem, q: np.ndarray):
     """Guarded and validated kinetic matrix at q, with its float factor.
 
+    A packed triangle gets the length and finiteness checks; it is
+    symmetric by construction.  A full matrix gets the shape, finiteness
+    and symmetry checks.  Every matrix gets the definiteness check.
+
     Returns:
-        (K, L): the kinetic matrix, and for d <= ``_FLOAT_MAX_DIM`` its
-        cyclic-first Cholesky factor from ``_float_factor`` (None for
-        larger d, which validate and solve with numpy).
+        (K, L): for d <= ``_FLOAT_MAX_DIM`` the packed upper triangle of the
+        kinetic matrix as floats and its ``_factor`` factor; for larger d
+        the (d, d) matrix and None (validated and solved with numpy).
 
     Raises:
         ChartBoundary: q is within the pole-guard distance of the boundary.
         NotPositiveDefinite: the matrix has a non-finite entry, is
             asymmetric beyond tolerance, or its Cholesky factorization fails.
-        ValueError: the matrix is not d x d.
+        ValueError: the matrix is not d x d, or a packed triangle has the
+            wrong number of entries.
     """
-    K = _metric_raw(sys, q)
-    if sys.dim <= _FLOAT_MAX_DIM:
-        return K, _float_factor(K.tolist())
+    d = sys.dim
+    guard_chart(sys, q)
+    raw = sys.mass_matrix(q)
+    if d <= _FLOAT_MAX_DIM and isinstance(raw, tuple):
+        if len(raw) != _PACKED[d]:
+            raise _wrong_size(raw, d, "kinetic matrix")
+        if not all(map(math.isfinite, raw)):
+            raise NotPositiveDefinite(_NON_FINITE)
+        return raw, _factor(raw)
+    K = _as_matrix(raw, d)
     top = float(np.abs(K).max())    # NaN or inf when an entry is not finite
     if not math.isfinite(top):
         raise NotPositiveDefinite(_NON_FINITE)
@@ -290,6 +391,9 @@ def _checked_metric(sys: SymmetricSystem, q: np.ndarray):
     defect = float(np.abs(K - K.T).max())
     if defect > SYMMETRY_TOL * scale:
         raise _asymmetric(defect)
+    if d <= _FLOAT_MAX_DIM:
+        P = K[_UPPER[d]].tolist()
+        return P, _factor(P)
     try:
         np.linalg.cholesky(K)
     except np.linalg.LinAlgError as exc:
@@ -300,13 +404,17 @@ def _checked_metric(sys: SymmetricSystem, q: np.ndarray):
 def evaluate_metric(sys: SymmetricSystem, q) -> np.ndarray:
     """Evaluate and validate the kinetic matrix at q.
 
+    Returns the (d, d) matrix, also for a system that hands it packed.
+
     Raises:
         ChartBoundary: q is within the pole-guard distance of the boundary.
         NotPositiveDefinite: the matrix has a non-finite entry, is
             asymmetric beyond tolerance, or a Cholesky factorization fails.
-        ValueError: the matrix is not d x d.
+        ValueError: the matrix is not d x d, or a packed triangle has the
+            wrong number of entries.
     """
-    return _checked_metric(sys, np.asarray(q, dtype=float))[0]
+    K, L = _checked_metric(sys, np.asarray(q, dtype=float))
+    return K if L is None else _unpack(K, sys.dim)
 
 
 def mass_matrix_blocks(sys: SymmetricSystem, q):
@@ -323,30 +431,41 @@ def mass_matrix_blocks(sys: SymmetricSystem, q):
 
 def momentum_map(sys: SymmetricSystem, s: FullState) -> MomentumValue:
     """Momentum integral of a full state: cyclic rows of K times the velocity."""
-    K = evaluate_metric(sys, s.q)
-    p = K[sys.n:, :] @ s.velocity()
+    K, L = _checked_metric(sys, s.q)
+    v = s.velocity()
+    p = np.array(_sym_mv(K, v.tolist())[sys.n:]) if L is not None else K[sys.n:, :] @ v
     return MomentumValue(xi=p[:sys.k], eta=p[sys.k:])
 
 
-def _cyclic_rates(sys: SymmetricSystem, K: np.ndarray, L, qdot: np.ndarray,
-                  c: np.ndarray) -> np.ndarray:
-    """Cyclic velocities D^-1 (c - Kcq qdot) from ``_checked_metric``'s (K, L)."""
+def _cyclic_rates(sys: SymmetricSystem, K, L, qdot, c):
+    """Cyclic velocities D^-1 (c - Kcq qdot) from ``_checked_metric``'s (K, L).
+
+    With a float factor L, qdot, c and the result are lists of floats;
+    otherwise arrays.
+    """
     n = sys.n
-    rhs = c - K[n:, :n] @ qdot
-    if sys.n_cyclic == 1:
-        return rhs / K[n, n]
     if L is None:
+        rhs = c - K[n:, :n] @ qdot
+        if sys.n_cyclic == 1:
+            return rhs / K[n, n]
         return np.linalg.solve(K[n:, n:], rhs)
-    return np.array(_factor_solve(L, rhs.tolist()[::-1])[::-1])
+    m = sys.n_cyclic
+    if m == 0:
+        return []
+    Kv = _sym_mv(K, qdot + [0.0] * m)    # cyclic rows: Kcq qdot
+    if m == 1:
+        return [(c[0] - Kv[n]) / K[-1]]
+    return _solve(L, [c[0] - Kv[1], c[1] - Kv[2]])     # d = 3, n = 1
 
 
 def _complete(sys: SymmetricSystem, f: MomentumValue, q, qdot):
     """State completed at fixed momentum from one validated metric evaluation.
 
     Returns:
-        (q, K, v): the validated shape position, the kinetic matrix at q,
-        and the full velocity (qdot, cyclic velocities solving the
-        momentum constraint).
+        (q, K, v): the validated shape position, ``_checked_metric``'s
+        kinetic matrix at q, and the full velocity (qdot, cyclic velocities
+        solving the momentum constraint).  For d <= ``_FLOAT_MAX_DIM`` K is
+        packed and v a list of floats, otherwise both are arrays.
     """
     q = _finite_vector(q, sys.n, "q")
     qdot = _finite_vector(qdot, sys.n, "qdot")
@@ -356,12 +475,19 @@ def _complete(sys: SymmetricSystem, f: MomentumValue, q, qdot):
             f"system ({sys.k},{sys.l})"
         )
     K, L = _checked_metric(sys, q)
-    return q, K, np.concatenate([qdot, _cyclic_rates(sys, K, L, qdot, f.as_vector())])
+    if L is None:
+        return q, K, np.concatenate([qdot, _cyclic_rates(sys, K, L, qdot, f.as_vector())])
+    qdot = qdot.tolist()
+    return q, K, qdot + _cyclic_rates(sys, K, L, qdot, f.as_vector().tolist())
 
 
-def _kinetic_potential(sys: SymmetricSystem, q, K: np.ndarray, v: np.ndarray):
-    """Kinetic energy 0.5 v.K v and potential V(q)."""
-    return 0.5 * float(v @ K @ v), float(sys.potential(q))
+def _kinetic_potential(sys: SymmetricSystem, q, K, v):
+    """Kinetic energy 0.5 v.K v (K full, or packed) and potential V(q)."""
+    if isinstance(K, np.ndarray):
+        kin = float(v @ K @ v)
+    else:
+        kin = sum(map(operator.mul, v, _sym_mv(K, v)))
+    return 0.5 * kin, float(sys.potential(q))
 
 
 def solve_cyclic(sys: SymmetricSystem, q, qdot, f: MomentumValue) -> np.ndarray:
@@ -373,7 +499,7 @@ def solve_cyclic(sys: SymmetricSystem, q, qdot, f: MomentumValue) -> np.ndarray:
         w, shape (k+l,): the line-type rates xdot, then the angle rates psidot.
     """
     _, _, v = _complete(sys, f, q, qdot)
-    return v[sys.n:]
+    return np.array(v[sys.n:], dtype=float)
 
 
 def complete_state(sys: SymmetricSystem, f: MomentumValue, r: ReducedState,
@@ -385,15 +511,21 @@ def complete_state(sys: SymmetricSystem, f: MomentumValue, r: ReducedState,
     return FullState(q=r.q, x=x, psi=psi, qdot=r.qdot, xdot=w[:sys.k], psidot=w[sys.k:])
 
 
+def _full_kinetic_potential(sys: SymmetricSystem, s: FullState):
+    K, L = _checked_metric(sys, s.q)
+    v = s.velocity()
+    return _kinetic_potential(sys, s.q, K, v if L is None else v.tolist())
+
+
 def lagrangian_full(sys: SymmetricSystem, s: FullState) -> float:
     """Full Lagrangian: kinetic energy minus potential."""
-    kin, pot = _kinetic_potential(sys, s.q, evaluate_metric(sys, s.q), s.velocity())
+    kin, pot = _full_kinetic_potential(sys, s)
     return kin - pot
 
 
 def energy_full(sys: SymmetricSystem, s: FullState) -> float:
     """Full energy: kinetic energy plus potential."""
-    kin, pot = _kinetic_potential(sys, s.q, evaluate_metric(sys, s.q), s.velocity())
+    kin, pot = _full_kinetic_potential(sys, s)
     return kin + pot
 
 
@@ -453,27 +585,53 @@ def gradient(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarra
 def metric_grad(sys: SymmetricSystem, q: np.ndarray) -> np.ndarray:
     """Shape derivatives of the kinetic matrix, stacked as (n, d, d).
 
-    Uses the system's closed form when it supplies ``mass_matrix_grad``,
-    otherwise central differences of the guarded metric.
+    Uses the system's closed form when it supplies ``mass_matrix_grad``
+    (full or packed), otherwise central differences of the guarded metric.
 
     Raises:
         ChartBoundary: q is within the pole-guard distance of the boundary.
-        ValueError: the closed form is not (n, d, d).
+        ValueError: the closed form is not (n, d, d), nor n packed
+            triangles of the right length.
     """
     guard_chart(sys, q)
-    return _metric_grad(sys, q)
+    return _metric_grad(sys, q, packed=False)
 
 
-def _metric_grad(sys: SymmetricSystem, q: np.ndarray) -> np.ndarray:
-    """``metric_grad`` at a q the caller has already guarded."""
+def _metric_grad(sys: SymmetricSystem, q: np.ndarray, packed: bool):
+    """``metric_grad`` at a q the caller has already guarded.
+
+    Returns n packed triangles when ``packed`` (d <= 3), else (n, d, d).
+    """
+    n, d = sys.n, sys.dim
     if sys.mass_matrix_grad is None:
-        return gradient(lambda p: _metric_raw(sys, p), q)
-    dK = np.asarray(sys.mass_matrix_grad(q), dtype=float)
-    if dK.shape != (sys.n, sys.dim, sys.dim):
-        raise ValueError(
-            f"kinetic matrix derivative must be ({sys.n},{sys.dim},{sys.dim}), got {dK.shape}"
-        )
+        dK = gradient(lambda p: _metric_raw(sys, p), q)
+    else:
+        dK = sys.mass_matrix_grad(q)
+        if isinstance(dK, tuple) and d in _UPPER:
+            if len(dK) != n:
+                raise ValueError(
+                    f"packed kinetic matrix derivative must have {n} triangles, got {len(dK)}"
+                )
+            for D in dK:
+                if len(D) != _PACKED[d]:
+                    raise _wrong_size(D, d, "kinetic matrix derivative")
+            return dK if packed else np.array([_unpack(D, d) for D in dK])
+        dK = np.asarray(dK, dtype=float)
+        if dK.shape != (n, d, d):
+            raise ValueError(
+                f"kinetic matrix derivative must be ({n},{d},{d}), got {dK.shape}"
+            )
+    if packed:
+        rows, cols = _UPPER[d]
+        return dK[:, rows, cols].tolist()
     return dK
+
+
+def _grad_array(sys: SymmetricSystem, grad) -> np.ndarray:
+    grad = np.asarray(grad, dtype=float)
+    if grad.shape != (sys.n,):
+        raise ValueError(f"potential gradient must be ({sys.n},), got {grad.shape}")
+    return grad
 
 
 def potential_grad(sys: SymmetricSystem, q: np.ndarray) -> np.ndarray:
@@ -484,33 +642,40 @@ def potential_grad(sys: SymmetricSystem, q: np.ndarray) -> np.ndarray:
     """
     if sys.potential_grad is None:
         return gradient(sys.potential, q)
-    grad = np.asarray(sys.potential_grad(q), dtype=float)
-    if grad.shape != (sys.n,):
-        raise ValueError(f"potential gradient must be ({sys.n},), got {grad.shape}")
-    return grad
+    return _grad_array(sys, sys.potential_grad(q))
 
 
-def accel(sys: SymmetricSystem, q: np.ndarray, v: np.ndarray, K: np.ndarray,
-          factor=None) -> np.ndarray:
+def _potential_floats(sys: SymmetricSystem, q: np.ndarray):
+    """``potential_grad`` as n floats, for the float kernel."""
+    if sys.potential_grad is None:
+        return gradient(sys.potential, q).tolist()
+    grad = sys.potential_grad(q)
+    if isinstance(grad, tuple) and len(grad) == sys.n:
+        return grad
+    return _grad_array(sys, grad).tolist()
+
+
+def accel(sys: SymmetricSystem, q: np.ndarray, v, K, L) -> list:
     """Euler-Lagrange acceleration of the full system at (q, v).
 
-    d/dt (K v) = dL/dq with K = K(q) already validated, which also guarded
-    q: the cyclic rows carry no force, the shape rows carry
-    0.5 v.(dK/dq_a) v - dV/dq_a.
-    ``factor`` is K's cyclic-first float Cholesky factor from
-    ``_checked_metric``; without it the solve goes through numpy.
+    d/dt (K v) = dL/dq with (K, L) from ``_checked_metric`` at q, which also
+    guarded q: the cyclic rows carry no force, the shape rows carry
+    0.5 v.(dK/dq_a) v - dV/dq_a.  With a float factor L the force is
+    assembled on the packed derivatives and solved on floats, v being a
+    list of floats; otherwise with numpy.
     """
     n = sys.n
-    T = _metric_grad(sys, q) @ v         # T[b] = (dK/dq_b) v
-    force = -(v[:n] @ T)
-    force[:n] += 0.5 * (T @ v) - potential_grad(sys, q)
-    if factor is None:
-        return np.linalg.solve(K, force)
-    return np.array(_factor_solve(factor, force.tolist()[::-1])[::-1])
+    if L is None:
+        v = np.asarray(v, dtype=float)
+        T = _metric_grad(sys, q, packed=False) @ v      # T[b] = (dK/dq_b) v
+        force = -(v[:n] @ T)
+        force[:n] += 0.5 * (T @ v) - potential_grad(sys, q)
+        return np.linalg.solve(K, force).tolist()
+    force = _force(_metric_grad(sys, q, packed=True), _potential_floats(sys, q), v, n)
+    return _solve(L, force)
 
 
-def _reduced_accel(sys: SymmetricSystem, c: np.ndarray, q: np.ndarray,
-                   qdot: np.ndarray) -> np.ndarray:
+def _reduced_accel(sys: SymmetricSystem, c: list, q: np.ndarray, qdot: list) -> list:
     """Shape acceleration of the Routhian at fixed momentum covector c.
 
     Routh's equations are the shape rows of the full Euler-Lagrange system
@@ -518,7 +683,10 @@ def _reduced_accel(sys: SymmetricSystem, c: np.ndarray, q: np.ndarray,
     velocities and handed to the full kernel.
     """
     K, L = _checked_metric(sys, q)
-    v = np.concatenate([qdot, _cyclic_rates(sys, K, L, qdot, c)])
+    if L is not None:
+        return accel(sys, q, qdot + _cyclic_rates(sys, K, L, qdot, c), K, L)[:sys.n]
+    qdot = np.array(qdot)
+    v = np.concatenate([qdot, _cyclic_rates(sys, K, L, qdot, np.array(c))])
     try:
         return accel(sys, q, v, K, L)[:sys.n]
     except np.linalg.LinAlgError as exc:
@@ -533,7 +701,8 @@ def shape_momentum(sys: SymmetricSystem, f: MomentumValue, q, qdot) -> np.ndarra
     matrix, independently of the Schur-complement path.
     """
     _, K, v = _complete(sys, f, q, qdot)
-    return (K @ v)[:sys.n]
+    p = K @ np.asarray(v) if isinstance(K, np.ndarray) else _sym_mv(K, v)
+    return np.array(p[:sys.n], dtype=float)
 
 
 def symplectic_det_pair(sys: SymmetricSystem, f: MomentumValue, r: ReducedState):

@@ -90,7 +90,10 @@ def _metric_entries(p: RigidBodyParams, phi: float, theta: float):
 
 
 def _metric_entry_derivatives(p: RigidBodyParams, phi: float, theta: float):
-    """Derivatives of the nonconstant ``_metric_entries`` in phi and in theta."""
+    """Derivatives of the nonconstant ``_metric_entries`` in phi and in theta.
+
+    K_pp and K_pt are constant, so each tuple starts at K_ppsi.
+    """
     sp, cp = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
     ab = p.A - p.B
@@ -113,29 +116,22 @@ def rb_system(p: RigidBodyParams) -> SymmetricSystem:
     potentials are differenced.
     """
 
-    # Both matrices are built from flat lists: faster than nested ones.
-    def mass_matrix(q: np.ndarray) -> np.ndarray:
-        k_pp, k_pt, k_ppsi, k_tt, k_tpsi, k_psipsi = _metric_entries(p, q[0], q[1])
-        return np.array([
-            k_pp, k_pt, k_ppsi,
-            k_pt, k_tt, k_tpsi,
-            k_ppsi, k_tpsi, k_psipsi,
-        ]).reshape(3, 3)
+    # The metric and its derivatives are handed over packed: the upper
+    # triangles (K_pp, K_pt, K_ppsi, K_tt, K_tpsi, K_psipsi) as floats.
+    def mass_matrix(q: np.ndarray) -> tuple:
+        return _metric_entries(p, q[0], q[1])
 
-    def mass_matrix_grad(q: np.ndarray) -> np.ndarray:
-        return np.array([
-            entry
-            for d_ppsi, d_tt, d_tpsi, d_psipsi in _metric_entry_derivatives(p, q[0], q[1])
-            for entry in (0.0, 0.0, d_ppsi, 0.0, d_tt, d_tpsi, d_ppsi, d_tpsi, d_psipsi)
-        ]).reshape(2, 3, 3)
+    def mass_matrix_grad(q: np.ndarray) -> tuple:
+        d_phi, d_theta = _metric_entry_derivatives(p, q[0], q[1])
+        return (0.0, 0.0) + d_phi, (0.0, 0.0) + d_theta
 
     def potential(q: np.ndarray) -> float:
         return p.potential_value(q[0], q[1])
 
-    def potential_grad(q: np.ndarray) -> np.ndarray:
+    def potential_grad(q: np.ndarray):
         if p.potential is None:
-            return np.zeros(2)
-        return np.array(p.potential.grad(q[0], q[1]), dtype=float)
+            return 0.0, 0.0
+        return p.potential.grad(q[0], q[1])
 
     closed_grad = p.potential is None or hasattr(p.potential, "grad")
 

@@ -12,15 +12,15 @@ from .reduction import SymmetricSystem
 def central_force_system(potential: Optional[Callable[[float], float]] = None) -> SymmetricSystem:
     """Planar central-force system: radius r as shape, polar angle as cyclic.
 
-    Kinetic matrix diag(1, r^2) for a unit mass; the chart excludes the
-    collision r = 0.
+    Kinetic matrix diag(1, r^2) for a unit mass, handed over packed as
+    (K_rr, K_r angle, K_angle angle); the chart excludes the collision r = 0.
     """
 
-    def mass(q: np.ndarray) -> np.ndarray:
-        return np.array([[1.0, 0.0], [0.0, q[0] ** 2]])
+    def mass(q: np.ndarray) -> tuple:
+        return 1.0, 0.0, float(q[0]) ** 2
 
-    def mass_grad(q: np.ndarray) -> np.ndarray:
-        return np.array([[[0.0, 0.0], [0.0, 2.0 * q[0]]]])
+    def mass_grad(q: np.ndarray) -> tuple:
+        return (0.0, 0.0, 2.0 * float(q[0])),
 
     def v0(q: np.ndarray) -> float:
         return 0.0 if potential is None else float(potential(q[0]))

@@ -27,6 +27,7 @@ from routhkit import (
     reduced_vector_field,
     routhian,
     shape_momentum,
+    solve_cyclic,
     symplectic_det_pair,
 )
 from routhkit import reduction
@@ -59,7 +60,7 @@ def test_closed_form_metric_grad_matches_central_differences(make, rng):
     assert sys.mass_matrix_grad is not None
     for q in chart_states(rng, sys, 25):
         closed = metric_grad(sys, q)
-        numeric = gradient(sys.mass_matrix, q)
+        numeric = gradient(lambda p: evaluate_metric(sys, p), q)
         assert closed.shape == (sys.n, sys.dim, sys.dim)
         scale = max(1.0, float(np.max(np.abs(numeric))))
         assert np.max(np.abs(closed - numeric)) <= 1e-8 * scale
@@ -160,15 +161,23 @@ def test_rhs_guards_the_chart_once(triaxial_system, zero_momentum, generic_state
         metric_grad(triaxial_system, np.array([0.2, 5e-7]))
 
 
-@pytest.mark.parametrize("field, expected", [
-    ("mass_matrix", r"\(2,2\), got \(3, 3\)"),
-    ("mass_matrix_grad", r"\(1,2,2\), got \(3, 3\)"),
+@pytest.mark.parametrize("field, expected, value", [
+    pytest.param("mass_matrix", r"\(2,2\), got \(3, 3\)", np.eye(3),
+                 id=r"mass_matrix-\(2,2\), got \(3, 3\)"),
+    pytest.param("mass_matrix_grad", r"\(1,2,2\), got \(3, 3\)", np.eye(3),
+                 id=r"mass_matrix_grad-\(1,2,2\), got \(3, 3\)"),
+    pytest.param("mass_matrix", r"must have 3 entries, got 4", (1.0, 0.0, 1.0, 0.0),
+                 id="packed-metric"),
+    pytest.param("mass_matrix_grad", r"derivative must have 3 entries, got 2", ((0.0, 0.0),),
+                 id="packed-derivative"),
+    pytest.param("mass_matrix_grad", r"must have 1 triangles, got 2", ((0.0, 0.0, 0.0),) * 2,
+                 id="packed-derivative-count"),
 ])
-def test_wrong_shape_metric_is_a_value_error(field, expected):
+def test_wrong_shape_metric_is_a_value_error(field, expected, value):
     sys = SymmetricSystem(n=1, k=0, l=1, mass_matrix=lambda q: np.eye(2),
                           potential=lambda q: 0.0,
                           mass_matrix_grad=lambda q: np.zeros((1, 2, 2)))
-    sys = replace(sys, **{field: lambda q: np.eye(3)})
+    sys = replace(sys, **{field: lambda q: value})
     with pytest.raises(ValueError, match=expected):
         full_rhs(sys)(np.array([1.0, 0.0, 0.0, 0.0]))
 
@@ -257,7 +266,7 @@ def test_potential_without_closed_gradient_is_differenced():
 def _numpy_accel(sys, q, v):
     """Full acceleration on numpy, with the size of every summed term."""
     n = sys.n
-    K = sys.mass_matrix(q)
+    K = evaluate_metric(sys, q)
     T = metric_grad(sys, q) @ v
     g = potential_grad(sys, q)
     force = -(v[:n] @ T)
@@ -269,7 +278,7 @@ def _numpy_accel(sys, q, v):
 
 def _numpy_cyclic(sys, q, qdot, c):
     n = sys.n
-    K = sys.mass_matrix(q)
+    K = evaluate_metric(sys, q)
     return np.linalg.solve(K[n:, n:], c - K[n:, :n] @ qdot)
 
 
@@ -277,13 +286,15 @@ _BODIES = [(1.0, 2.0, 3.0), (1.0, 1.5, 2.0), (2.0, 2.0, 3.0)]
 
 
 @st.composite
-def small_cases(draw):
+def small_cases(draw, kinds=("rigid-body", "heavy-body", "random", "constant")):
     """(system, momentum covector, q, qdot, cyclic velocities) with d <= 3."""
-    kind = draw(st.sampled_from(["rigid-body", "heavy-body", "random", "constant"]))
+    kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind in ("rigid-body", "heavy-body"):
         potential = heavy_potential(rng.uniform(-2.0, 2.0)) if kind == "heavy-body" else None
         sys = rb_system(RigidBodyParams(*draw(st.sampled_from(_BODIES)), potential=potential))
+    elif kind == "central-force":
+        sys = central_force_system(harmonic_radial_potential(rng.uniform(0.1, 2.0)))
     else:
         n, k, l = draw(st.sampled_from([(1, 1, 0), (1, 0, 1), (2, 0, 1), (2, 1, 0),
                                         (1, 2, 0), (1, 1, 1), (1, 0, 2)]))
@@ -316,7 +327,32 @@ def test_float_path_matches_numpy_path(case):
     assert np.all(np.abs(out[sys.dim:] - expected) <= 1e-12 * size)
 
 
+def _full_copy(sys):
+    """The same system with its metric and derivatives handed over as full arrays."""
+    return replace(sys, mass_matrix=lambda q: evaluate_metric(sys, q),
+                   mass_matrix_grad=lambda q: metric_grad(sys, q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=small_cases(kinds=("rigid-body", "heavy-body", "central-force")))
+def test_packed_metric_matches_full_metric_bit_for_bit(case):
+    sys, c, q, qdot, w = case
+    full = _full_copy(sys)
+    f = MomentumValue(xi=c[:sys.k], eta=c[sys.k:])
+    assert isinstance(sys.mass_matrix(q), tuple)
+    assert isinstance(full.mass_matrix(q), np.ndarray)
+    y = np.concatenate([q, qdot])
+    assert reduced_vector_field(sys, f)(y) == reduced_vector_field(full, f)(y)
+    y = np.concatenate([q, np.zeros(sys.n_cyclic), qdot, w])
+    assert full_rhs(sys)(y) == full_rhs(full)(y)
+    assert np.array_equal(solve_cyclic(sys, q, qdot, f), solve_cyclic(full, q, qdot, f))
+
+
 def _bad_metric(matrix):
+    if isinstance(matrix, tuple):       # packed upper triangle of a 2x2 or 3x3 matrix
+        n = {3: 1, 6: 2}[len(matrix)]
+        return lambda: SymmetricSystem(n=n, k=0, l=1, mass_matrix=lambda q: matrix,
+                                       potential=lambda q: 0.0)
     return lambda: constant_matrix_system(len(matrix) - 1, 0, 1, matrix)
 
 
@@ -330,8 +366,17 @@ def _bad_metric(matrix):
     (_bad_metric([[1.0, 0.0, 0.0], [0.0, 1.0, -np.inf], [0.0, -np.inf, 1.0]]), [0.0, 0.0],
      NotPositiveDefinite),
     (lambda: rb_system(RigidBodyParams(1.0, 2.0, 3.0)), [0.2, 5e-7], ChartBoundary),
+    (_bad_metric((1.0, np.nan, 1.0)), [0.0], NotPositiveDefinite),
+    (_bad_metric((1.0, 0.0, 0.0, 1.0, 0.0, np.inf)), [0.0, 0.0], NotPositiveDefinite),
+    (_bad_metric((1.0, 0.0, -1.0)), [0.0], NotPositiveDefinite),
+    (_bad_metric((1.0, 2.0, 1.0)), [0.0], NotPositiveDefinite),
+    (_bad_metric((1.0, 0.0, 0.0, 1.0, 0.0, 0.0)), [0.0, 0.0], NotPositiveDefinite),
+    (_bad_metric((1.0, 0.0, 0.0, 1.0, 2.0, 1.0)), [0.0, 0.0], NotPositiveDefinite),
+    (_bad_metric((1.0, 0.0, 2.0, 1.0, 0.0, 1.0)), [0.0, 0.0], NotPositiveDefinite),
 ], ids=["asymmetric", "indefinite", "indefinite-offdiagonal", "nan-diagonal", "inf-diagonal",
-        "nan-offdiagonal", "inf-offdiagonal", "pole-band"])
+        "nan-offdiagonal", "inf-offdiagonal", "pole-band", "packed-nan", "packed-inf",
+        "packed-d2-pivot0", "packed-d2-pivot1", "packed-d3-pivot0", "packed-d3-pivot1",
+        "packed-d3-pivot2"])
 @pytest.mark.parametrize("path", ["float", "numpy"])
 def test_both_paths_raise_the_same_error(make, q, error, path, monkeypatch):
     if path == "numpy":
