@@ -27,9 +27,10 @@ EXIT_CONSISTENCY = 4
 
 
 def _load(args) -> cfgmod.RunConfig:
-    """The config file with the --dt, --t-end and --output flags laid over it."""
-    overrides = {key: getattr(args, key) for key in ("dt", "t_end", "output")
-                 if getattr(args, key) is not None}
+    """The config file with the verb's --dt, --t-end and --output flags laid over it."""
+    given = vars(args)
+    overrides = {key: given[key] for key in ("dt", "t_end", "output")
+                 if given.get(key) is not None}
     return cfgmod.load_config(args.config, overrides)
 
 
@@ -153,19 +154,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "geodesic experiments for symmetric mechanical systems.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, output_help):
+    override_help = {"--dt": "override the time step", "--t-end": "override the end time"}
+
+    def add_common(p, output_help, *overrides):
+        """--config, --output and the config overrides (--dt, --t-end) the verb reads."""
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--output", help=output_help)
-        p.add_argument("--dt", type=float, help="override the time step")
-        p.add_argument("--t-end", dest="t_end", type=float,
-                       help="override the end time")
+        for flag in overrides:
+            p.add_argument(flag, type=float, help=override_help[flag])
 
     p = sub.add_parser("simulate-reduced", help="integrate the reduced system")
-    add_common(p, "trajectory CSV path (default reduced.csv)")
+    add_common(p, "trajectory CSV path (default reduced.csv)", "--dt", "--t-end")
     p.set_defaults(func=cmd_simulate_reduced)
 
     p = sub.add_parser("simulate-full", help="integrate the full system")
-    add_common(p, "trajectory CSV path (default full.csv)")
+    add_common(p, "trajectory CSV path (default full.csv)", "--dt", "--t-end")
     p.set_defaults(func=cmd_simulate_full)
 
     p = sub.add_parser("reconstruct",
@@ -175,12 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("verify", help="run the invariant suite")
-    add_common(p, "JSON report path (default verify_report.json)")
+    add_common(p, "JSON report path (default verify_report.json)", "--dt", "--t-end")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("kolosov",
                        help="ellipsoid equivalence run and closed-geodesic search")
-    add_common(p, "ellipsoid trajectory CSV path (default ellipsoid.csv)")
+    add_common(p, "ellipsoid trajectory CSV path (default ellipsoid.csv)", "--dt")
     p.add_argument("--report", help="JSON report path (default kolosov_report.json)")
     p.set_defaults(func=cmd_kolosov)
     return parser

@@ -27,10 +27,10 @@ from .errors import (
 BOUNDARY_TOL = 1e-6
 # Relative tolerance on the symmetry defect of the kinetic matrix.
 SYMMETRY_TOL = 1e-12
-# Kinetic matrices up to this size are validated, factored and solved on
-# Python floats by a kernel written out for d <= 3; numpy's per-call
-# overhead outweighs the work below it.
-_FLOAT_MAX_DIM = 3
+# Kinetic matrices of these sizes are validated, factored and solved on
+# Python floats by a kernel written out for each size; numpy's per-call
+# overhead outweighs the work there.  Every other size runs on numpy.
+_FLOAT_DIMS = (2, 3)
 # Row and column indices of the packed upper triangle (row-major) and its
 # length, for the sizes a system may hand its metric in packed form.
 _UPPER = {d: tuple(zip(*[(i, j) for i in range(d) for j in range(i, d)])) for d in (1, 2, 3)}
@@ -63,7 +63,9 @@ class SymmetricSystem:
             (K00, K01, K02, K11, K12, K22) for d = 3.  A packed triangle is
             checked for its length, finiteness and positive pivots; a
             full matrix for its shape, finiteness, symmetry and positive
-            pivots.  The public metric names (``evaluate_metric``,
+            pivots.  For d = 2 and 3 either format is solved on floats;
+            d = 1 and d > 3 are solved with numpy, a packed 1-tuple being
+            unpacked first.  The public metric names (``evaluate_metric``,
             ``metric_grad``, ...) return full arrays either way.
         potential: Callable q -> potential energy.
         pole_guard: Optional callable q -> distance to the chart boundary.
@@ -242,7 +244,7 @@ def _pivot(value: float) -> float:
 
 
 def _factor(P) -> tuple:
-    """Cyclic-first Cholesky factor of a packed kinetic matrix, d <= 3.
+    """Cyclic-first Cholesky factor of a packed kinetic matrix, d = 2 or 3.
 
     The factor is lower triangular for the matrix with its coordinates in
     reverse order, so the cyclic block comes first; it is stored row by
@@ -258,16 +260,14 @@ def _factor(P) -> tuple:
         l11 = _pivot(k11 - l10 * l10)
         l21 = (k01 - l20 * l10) / l11
         return l00, l10, l11, l20, l21, _pivot(k00 - l20 * l20 - l21 * l21)
-    if len(P) == 3:
-        k00, k01, k11 = P
-        l00 = _pivot(k11)
-        l10 = k01 / l00
-        return l00, l10, _pivot(k00 - l10 * l10)
-    return (_pivot(P[0]),)
+    k00, k01, k11 = P
+    l00 = _pivot(k11)
+    l10 = k01 / l00
+    return l00, l10, _pivot(k00 - l10 * l10)
 
 
 def _solve(L: tuple, b: list) -> list:
-    """Solve B x = b for the trailing len(b) x len(b) block B of K.
+    """Solve B x = b for the trailing len(b) x len(b) block B of K, len(b) = 2 or 3.
 
     ``L`` is K's ``_factor`` factor; its leading rows factor B.  ``b`` and
     the result are in K's coordinate order.
@@ -279,33 +279,27 @@ def _solve(L: tuple, b: list) -> list:
         y2 = (b[0] - l20 * y0 - l21 * y1) / l22 / l22
         y1 = (y1 - l21 * y2) / l11
         return [y2, y1, (y0 - l10 * y1 - l20 * y2) / l00]
-    if len(b) == 2:
-        l00, l10, l11 = L[:3]
-        y0 = b[1] / l00
-        y1 = (b[0] - l10 * y0) / l11 / l11
-        return [y1, (y0 - l10 * y1) / l00]
-    if len(b) == 1:
-        return [b[0] / L[0] / L[0]]
-    return []
+    l00, l10, l11 = L[:3]
+    y0 = b[1] / l00
+    y1 = (b[0] - l10 * y0) / l11 / l11
+    return [y1, (y0 - l10 * y1) / l00]
 
 
 def _sym_mv(P, v) -> list:
-    """Packed symmetric matrix times v (d <= 3)."""
+    """Packed symmetric matrix times v (d = 2 or 3)."""
     if len(v) == 3:
         p0, p1, p2, p3, p4, p5 = P
         v0, v1, v2 = v
         return [p0 * v0 + p1 * v1 + p2 * v2,
                 p1 * v0 + p3 * v1 + p4 * v2,
                 p2 * v0 + p4 * v1 + p5 * v2]
-    if len(v) == 2:
-        p0, p1, p2 = P
-        v0, v1 = v
-        return [p0 * v0 + p1 * v1, p1 * v0 + p2 * v1]
-    return [P[0] * v[0]]
+    p0, p1, p2 = P
+    v0, v1 = v
+    return [p0 * v0 + p1 * v1, p1 * v0 + p2 * v1]
 
 
 def _force(dK, g, v: list, n: int) -> list:
-    """Generalized force on packed derivatives dK_b = dK/dq_b (d <= 3).
+    """Generalized force on packed derivatives dK_b = dK/dq_b (d = 2 or 3).
 
     Every row carries -sum_b qdot_b (dK_b v); the shape rows a < n add
     0.5 v.dK_a v - g_a.
@@ -325,7 +319,7 @@ def _force(dK, g, v: list, n: int) -> list:
             f2 += vb * t2
             quad.append(0.5 * (t0 * v0 + t1 * v1 + t2 * v2) - g[b])
         force = [-f0, -f1, -f2]
-    elif len(v) == 2:
+    else:
         v0, v1 = v
         f0 = f1 = 0.0
         for b in range(n):
@@ -337,12 +331,6 @@ def _force(dK, g, v: list, n: int) -> list:
             f1 += vb * t1
             quad.append(0.5 * (t0 * v0 + t1 * v1) - g[b])
         force = [-f0, -f1]
-    else:
-        p0 = dK[0][0]
-        v0 = v[0]
-        t0 = p0 * v0
-        force = [-(v0 * t0)]
-        quad.append(0.5 * (t0 * v0) - g[0])
     for a in range(n):
         force[a] += quad[a]
     return force
@@ -358,14 +346,16 @@ def _asymmetric(defect: float) -> NotPositiveDefinite:
 def _checked_metric(sys: SymmetricSystem, q: np.ndarray):
     """Guarded and validated kinetic matrix at q, with its float factor.
 
-    A packed triangle gets the length and finiteness checks; it is
-    symmetric by construction.  A full matrix gets the shape, finiteness
-    and symmetry checks.  Every matrix gets the definiteness check.
+    This is where the float kernel (d in ``_FLOAT_DIMS``) or numpy (any
+    other d) is chosen.  A packed triangle gets the length and finiteness
+    checks; it is symmetric by construction, and for d = 1 it is unpacked
+    for numpy.  A full matrix gets the shape, finiteness and symmetry
+    checks.  Every matrix gets the definiteness check.
 
     Returns:
-        (K, L): for d <= ``_FLOAT_MAX_DIM`` the packed upper triangle of the
-        kinetic matrix as floats and its ``_factor`` factor; for larger d
-        the (d, d) matrix and None (validated and solved with numpy).
+        (K, L): for d in ``_FLOAT_DIMS`` the packed upper triangle of the
+        kinetic matrix as floats and its ``_factor`` factor; for any other
+        d the (d, d) matrix and None (validated and solved with numpy).
 
     Raises:
         ChartBoundary: q is within the pole-guard distance of the boundary.
@@ -377,7 +367,7 @@ def _checked_metric(sys: SymmetricSystem, q: np.ndarray):
     d = sys.dim
     guard_chart(sys, q)
     raw = sys.mass_matrix(q)
-    if d <= _FLOAT_MAX_DIM and isinstance(raw, tuple):
+    if d in _FLOAT_DIMS and isinstance(raw, tuple):
         if len(raw) != _PACKED[d]:
             raise _wrong_size(raw, d, "kinetic matrix")
         if not all(map(math.isfinite, raw)):
@@ -391,7 +381,7 @@ def _checked_metric(sys: SymmetricSystem, q: np.ndarray):
     defect = float(np.abs(K - K.T).max())
     if defect > SYMMETRY_TOL * scale:
         raise _asymmetric(defect)
-    if d <= _FLOAT_MAX_DIM:
+    if d in _FLOAT_DIMS:
         P = K[_UPPER[d]].tolist()
         return P, _factor(P)
     try:
@@ -432,23 +422,26 @@ def mass_matrix_blocks(sys: SymmetricSystem, q):
 def momentum_map(sys: SymmetricSystem, s: FullState) -> MomentumValue:
     """Momentum integral of a full state: cyclic rows of K times the velocity."""
     K, L = _checked_metric(sys, s.q)
-    v = s.velocity()
-    p = np.array(_sym_mv(K, v.tolist())[sys.n:]) if L is not None else K[sys.n:, :] @ v
+    p = np.array(_mv(K, L, s.velocity().tolist())[sys.n:])
     return MomentumValue(xi=p[:sys.k], eta=p[sys.k:])
 
 
-def _cyclic_rates(sys: SymmetricSystem, K, L, qdot, c):
+def _mv(K, L, v: list) -> list:
+    """K v as a list of floats, for ``_checked_metric``'s (K, L)."""
+    return (K @ v).tolist() if L is None else _sym_mv(K, v)
+
+
+def _cyclic_rates(sys: SymmetricSystem, K, L, qdot: list, c: list) -> list:
     """Cyclic velocities D^-1 (c - Kcq qdot) from ``_checked_metric``'s (K, L).
 
-    With a float factor L, qdot, c and the result are lists of floats;
-    otherwise arrays.
+    qdot, the momentum covector c and the result are lists of floats.
     """
     n = sys.n
     if L is None:
-        rhs = c - K[n:, :n] @ qdot
+        rhs = np.subtract(c, K[n:, :n] @ qdot)
         if sys.n_cyclic == 1:
-            return rhs / K[n, n]
-        return np.linalg.solve(K[n:, n:], rhs)
+            return (rhs / K[n, n]).tolist()
+        return np.linalg.solve(K[n:, n:], rhs).tolist()
     m = sys.n_cyclic
     if m == 0:
         return []
@@ -462,10 +455,9 @@ def _complete(sys: SymmetricSystem, f: MomentumValue, q, qdot):
     """State completed at fixed momentum from one validated metric evaluation.
 
     Returns:
-        (q, K, v): the validated shape position, ``_checked_metric``'s
-        kinetic matrix at q, and the full velocity (qdot, cyclic velocities
-        solving the momentum constraint).  For d <= ``_FLOAT_MAX_DIM`` K is
-        packed and v a list of floats, otherwise both are arrays.
+        (q, K, L, v): the validated shape position, ``_checked_metric``'s
+        (K, L) at q, and the full velocity as a list of floats: qdot, then
+        the cyclic velocities solving the momentum constraint.
     """
     q = _finite_vector(q, sys.n, "q")
     qdot = _finite_vector(qdot, sys.n, "qdot")
@@ -475,18 +467,13 @@ def _complete(sys: SymmetricSystem, f: MomentumValue, q, qdot):
             f"system ({sys.k},{sys.l})"
         )
     K, L = _checked_metric(sys, q)
-    if L is None:
-        return q, K, np.concatenate([qdot, _cyclic_rates(sys, K, L, qdot, f.as_vector())])
     qdot = qdot.tolist()
-    return q, K, qdot + _cyclic_rates(sys, K, L, qdot, f.as_vector().tolist())
+    return q, K, L, qdot + _cyclic_rates(sys, K, L, qdot, f.as_vector().tolist())
 
 
-def _kinetic_potential(sys: SymmetricSystem, q, K, v):
-    """Kinetic energy 0.5 v.K v (K full, or packed) and potential V(q)."""
-    if isinstance(K, np.ndarray):
-        kin = float(v @ K @ v)
-    else:
-        kin = sum(map(operator.mul, v, _sym_mv(K, v)))
+def _kinetic_potential(sys: SymmetricSystem, q, K, L, v: list):
+    """Kinetic energy 0.5 v.K v and potential V(q), for ``_checked_metric``'s (K, L)."""
+    kin = sum(map(operator.mul, v, _mv(K, L, v)))
     return 0.5 * kin, float(sys.potential(q))
 
 
@@ -498,7 +485,7 @@ def solve_cyclic(sys: SymmetricSystem, q, qdot, f: MomentumValue) -> np.ndarray:
     Returns:
         w, shape (k+l,): the line-type rates xdot, then the angle rates psidot.
     """
-    _, _, v = _complete(sys, f, q, qdot)
+    v = _complete(sys, f, q, qdot)[3]
     return np.array(v[sys.n:], dtype=float)
 
 
@@ -513,8 +500,7 @@ def complete_state(sys: SymmetricSystem, f: MomentumValue, r: ReducedState,
 
 def _full_kinetic_potential(sys: SymmetricSystem, s: FullState):
     K, L = _checked_metric(sys, s.q)
-    v = s.velocity()
-    return _kinetic_potential(sys, s.q, K, v if L is None else v.tolist())
+    return _kinetic_potential(sys, s.q, K, L, s.velocity().tolist())
 
 
 def lagrangian_full(sys: SymmetricSystem, s: FullState) -> float:
@@ -537,15 +523,15 @@ def routhian(sys: SymmetricSystem, f: MomentumValue, r: ReducedState) -> float:
     pairing of the momentum with the cyclic velocities.  At zero momentum
     this is exactly the full Lagrangian of the completed state.
     """
-    q, K, v = _complete(sys, f, r.q, r.qdot)
-    kin, pot = _kinetic_potential(sys, q, K, v)
+    q, K, L, v = _complete(sys, f, r.q, r.qdot)
+    kin, pot = _kinetic_potential(sys, q, K, L, v)
     return kin - pot - float(f.as_vector() @ v[sys.n:])
 
 
 def reduced_energy(sys: SymmetricSystem, f: MomentumValue, r: ReducedState) -> float:
     """Energy of the completed state; constant along reduced trajectories."""
-    q, K, v = _complete(sys, f, r.q, r.qdot)
-    kin, pot = _kinetic_potential(sys, q, K, v)
+    q, K, L, v = _complete(sys, f, r.q, r.qdot)
+    kin, pot = _kinetic_potential(sys, q, K, L, v)
     return kin + pot
 
 
@@ -600,7 +586,7 @@ def metric_grad(sys: SymmetricSystem, q: np.ndarray) -> np.ndarray:
 def _metric_grad(sys: SymmetricSystem, q: np.ndarray, packed: bool):
     """``metric_grad`` at a q the caller has already guarded.
 
-    Returns n packed triangles when ``packed`` (d <= 3), else (n, d, d).
+    Returns n packed triangles when ``packed`` (d in ``_FLOAT_DIMS``), else (n, d, d).
     """
     n, d = sys.n, sys.dim
     if sys.mass_matrix_grad is None:
@@ -627,32 +613,26 @@ def _metric_grad(sys: SymmetricSystem, q: np.ndarray, packed: bool):
     return dK
 
 
-def _grad_array(sys: SymmetricSystem, grad) -> np.ndarray:
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != (sys.n,):
-        raise ValueError(f"potential gradient must be ({sys.n},), got {grad.shape}")
-    return grad
-
-
 def potential_grad(sys: SymmetricSystem, q: np.ndarray) -> np.ndarray:
     """Gradient of the potential in the shape coordinates.
 
     Uses the system's closed form when it supplies ``potential_grad``,
     otherwise central differences of ``potential``.
     """
-    if sys.potential_grad is None:
-        return gradient(sys.potential, q)
-    return _grad_array(sys, sys.potential_grad(q))
+    return np.array(_potential_floats(sys, q))
 
 
 def _potential_floats(sys: SymmetricSystem, q: np.ndarray):
-    """``potential_grad`` as n floats, for the float kernel."""
+    """``potential_grad`` as n floats; the closed form's shape is checked."""
     if sys.potential_grad is None:
         return gradient(sys.potential, q).tolist()
     grad = sys.potential_grad(q)
     if isinstance(grad, tuple) and len(grad) == sys.n:
         return grad
-    return _grad_array(sys, grad).tolist()
+    grad = np.asarray(grad, dtype=float)
+    if grad.shape != (sys.n,):
+        raise ValueError(f"potential gradient must be ({sys.n},), got {grad.shape}")
+    return grad.tolist()
 
 
 def accel(sys: SymmetricSystem, q: np.ndarray, v, K, L) -> list:
@@ -660,9 +640,9 @@ def accel(sys: SymmetricSystem, q: np.ndarray, v, K, L) -> list:
 
     d/dt (K v) = dL/dq with (K, L) from ``_checked_metric`` at q, which also
     guarded q: the cyclic rows carry no force, the shape rows carry
-    0.5 v.(dK/dq_a) v - dV/dq_a.  With a float factor L the force is
-    assembled on the packed derivatives and solved on floats, v being a
-    list of floats; otherwise with numpy.
+    0.5 v.(dK/dq_a) v - dV/dq_a.  v and the result are lists of floats.
+    With a float factor L the force is assembled on the packed derivatives
+    and solved on floats; otherwise with numpy.
     """
     n = sys.n
     if L is None:
@@ -683,12 +663,8 @@ def _reduced_accel(sys: SymmetricSystem, c: list, q: np.ndarray, qdot: list) -> 
     velocities and handed to the full kernel.
     """
     K, L = _checked_metric(sys, q)
-    if L is not None:
-        return accel(sys, q, qdot + _cyclic_rates(sys, K, L, qdot, c), K, L)[:sys.n]
-    qdot = np.array(qdot)
-    v = np.concatenate([qdot, _cyclic_rates(sys, K, L, qdot, np.array(c))])
     try:
-        return accel(sys, q, v, K, L)[:sys.n]
+        return accel(sys, q, qdot + _cyclic_rates(sys, K, L, qdot, c), K, L)[:sys.n]
     except np.linalg.LinAlgError as exc:
         raise SingularReducedMass("reduced mass matrix solve failed") from exc
 
@@ -700,9 +676,8 @@ def shape_momentum(sys: SymmetricSystem, f: MomentumValue, q, qdot) -> np.ndarra
     reduced symplectic form; it is evaluated directly from the full kinetic
     matrix, independently of the Schur-complement path.
     """
-    _, K, v = _complete(sys, f, q, qdot)
-    p = K @ np.asarray(v) if isinstance(K, np.ndarray) else _sym_mv(K, v)
-    return np.array(p[:sys.n], dtype=float)
+    _, K, L, v = _complete(sys, f, q, qdot)
+    return np.array(_mv(K, L, v)[:sys.n])
 
 
 def symplectic_det_pair(sys: SymmetricSystem, f: MomentumValue, r: ReducedState):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routhkit import (
+    ConfigError,
     ConformalData,
     EllipsoidState,
     IntegratorConfig,
@@ -343,6 +344,11 @@ def test_seed_refuses_energy_not_above_potential(triaxial, potential):
         section_seed(triaxial, cd, "z")
 
 
+def test_seed_refuses_an_unknown_plane(triaxial):
+    with pytest.raises(ValueError, match="plane must be one of x, y, z"):
+        section_seed(triaxial, ConformalData(h=1.0), "w")
+
+
 def test_sections_triaxial_periods_and_closure(triaxial):
     h = 0.8
     orbits = principal_section_orbits(triaxial, ConformalData(h=h))
@@ -480,6 +486,24 @@ def test_run_kolosov_refuses_a_heavy_body():
     with pytest.raises(InvalidParams, match="free body"):
         run_kolosov(params, ReducedState(q=[0.7, 1.1], qdot=[0.4, 0.15]),
                     dt=1e-2, energy_target=20.0)
+
+
+@pytest.mark.parametrize("target", [float("nan"), 0.0, -1.0], ids=["nan", "zero", "negative"])
+def test_run_kolosov_refuses_a_bad_energy_target(target):
+    with pytest.raises(ConfigError, match="energy_target must be positive"):
+        run_kolosov(RigidBodyParams(1.0, 2.0, 3.0), ReducedState(q=[0.7, 1.1], qdot=[0.4, 0.15]),
+                    dt=1e-2, energy_target=target)
+
+
+@pytest.mark.parametrize("u, udot, message", [
+    ([1.0, 0.0], [0.0, 0.0, 0.0], "3-vectors"),
+    ([1.0, 0.0, 0.0], [[0.0, 0.0, 0.0]], "3-vectors"),
+    ([1.0, np.nan, 0.0], [0.0, 0.0, 0.0], "finite"),
+    ([1.0, 0.0, 0.0], [0.0, np.inf, 0.0], "finite"),
+], ids=["short-u", "stacked-udot", "nan-u", "inf-udot"])
+def test_ellipsoid_state_rejects_bad_vectors(u, udot, message):
+    with pytest.raises(ValueError, match=message):
+        EllipsoidState(u=u, udot=udot)
 
 
 def test_energy_below_potential_refused(triaxial):

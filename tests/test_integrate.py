@@ -191,6 +191,10 @@ def test_config_validation():
         IntegratorConfig(dt=-0.1)
     with pytest.raises(ValueError):
         IntegratorConfig(max_steps=0)
+    with pytest.raises(ValueError, match="tolerances"):
+        IntegratorConfig(abs_tol=0.0)
+    with pytest.raises(ValueError, match="tolerances"):
+        IntegratorConfig(rel_tol=-1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +290,11 @@ def test_quadrature_matches_pairwise_loop(inputs):
 def test_quadrature_rejects_bad_grid(times):
     with pytest.raises(ValueError):
         cumulative_quadrature(times, np.ones(3))
+
+
+def test_quadrature_rejects_misaligned_values():
+    with pytest.raises(ValueError, match="values must align"):
+        cumulative_quadrature([0.0, 1.0, 2.0], np.ones(4))
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +521,12 @@ def test_shoot_exact_input_returned_unchanged():
     assert orbit.iterations == 0
     assert orbit.period == TWO_PI
     assert np.array_equal(orbit.initial_state, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("period", [0.0, -1.0, float("nan")], ids=["zero", "negative", "nan"])
+def test_periodic_orbit_rejects_a_period_not_positive(period):
+    with pytest.raises(ValueError, match="period must be positive"):
+        PeriodicOrbit(initial_state=[1.0, 0.0], period=period, closure_error=0.0)
 
 
 def test_shoot_no_orbit_raises():

@@ -4,6 +4,7 @@ import ast
 import inspect
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from routhkit import (
 from routhkit import errors
 from routhkit.cli import main
 from routhkit.config import load_config, parse_config, state_labels
-from routhkit.trajectory_io import read_trajectory_csv, write_trajectory_csv
+from routhkit.trajectory_io import read_trajectory_csv, write_atomic, write_trajectory_csv
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "src", "routhkit",
                            "schemas", "verify_report.schema.json")
@@ -109,8 +110,9 @@ def _meta(key, value):
     (_meta("energy0", "abc"), "energy0 is not JSON"),
     (_meta("momentum_eta", '"x"'), "could not convert"),
     (lambda lines: lines[:-1] + [lines[-2]], "strictly increasing"),
+    (lambda lines: lines[:-49], "need header and >= 2 rows"),
 ], ids=["nan-state", "inf-time", "short-row", "garbage", "energy0-not-json",
-        "momentum-text", "repeated-time"])
+        "momentum-text", "repeated-time", "one-row"])
 def test_csv_rejects_corrupt_rows(tmp_path, rng, capsys, edit, message):
     path = str(tmp_path / "traj.csv")
     write_trajectory_csv(path, make_trajectory(rng), ["a", "b", "c", "d"])
@@ -124,6 +126,15 @@ def test_csv_rejects_corrupt_rows(tmp_path, rng, capsys, edit, message):
     assert main(["reconstruct", "--config", write_config(tmp_path, base_config()),
                  "--reduced", path, "--output", str(tmp_path / "rec.csv")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_write_atomic_failure_leaves_the_target_and_no_temp_file(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("old")
+    with pytest.raises(TypeError):
+        write_atomic(str(target), None)     # the write itself fails
+    assert target.read_text() == "old"
+    assert os.listdir(tmp_path) == ["report.json"]
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +461,11 @@ def test_config_rejects_bad_energy_target(target):
     (custom_config(matrix="abc"), "custom.matrix"),
     (custom_config(matrix=5), "custom.matrix"),
     (custom_config(matrix=np.eye(3).tolist()), "custom.matrix"),
+    ({"integrator": {"method": "euler"}}, "unknown method"),
 ], ids=["t_end-inf", "t_end-text", "dt-text", "dt-list", "coefficient-text",
         "coefficient-nan", "max_steps-inf", "abs_tol-list", "custom-n-text",
         "custom-matrix-entry-text", "custom-matrix-text", "custom-matrix-scalar",
-        "custom-matrix-3x3-for-2"])
+        "custom-matrix-3x3-for-2", "method-euler"])
 def test_config_rejects_non_numeric_scalars(tmp_path, capsys, overrides, key):
     cfg = base_config(**overrides)
     with pytest.raises(ConfigError, match=key):
@@ -485,6 +497,31 @@ def test_config_rejects_booleans_nested_lists_and_fractional_steps(tmp_path, cap
 def test_config_accepts_whole_number_max_steps():
     cfg = parse_config(base_config(integrator={"method": "rk4", "max_steps": 5000.0}))
     assert cfg.integrator.max_steps == 5000
+
+
+@pytest.mark.parametrize("verb, flags", [
+    ("simulate-reduced", {"--config", "--output", "--dt", "--t-end"}),
+    ("simulate-full", {"--config", "--output", "--dt", "--t-end"}),
+    ("reconstruct", {"--config", "--output", "--reduced"}),
+    ("verify", {"--config", "--output", "--dt", "--t-end"}),
+    ("kolosov", {"--config", "--output", "--dt", "--report"}),
+])
+def test_each_verb_offers_the_flags_its_command_reads(capsys, verb, flags):
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"} == flags
+
+
+@pytest.mark.parametrize("argv", [
+    ["kolosov", "--t-end", "1"],
+    ["reconstruct", "--reduced", "r.csv", "--dt", "1"],
+    ["reconstruct", "--reduced", "r.csv", "--t-end", "1"],
+], ids=["kolosov-t-end", "reconstruct-dt", "reconstruct-t-end"])
+def test_cli_flag_a_verb_does_not_read_exit_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--config", write_config(tmp_path, base_config())])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_cli_t_end_flag_inf_exit_2(tmp_path, capsys):

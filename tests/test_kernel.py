@@ -260,7 +260,7 @@ def test_potential_without_closed_gradient_is_differenced():
 
 
 # ---------------------------------------------------------------------------
-# float path (d <= 3) against the numpy path written out
+# float path (d = 2, 3) against the numpy path written out
 
 
 def _numpy_accel(sys, q, v):
@@ -287,7 +287,7 @@ _BODIES = [(1.0, 2.0, 3.0), (1.0, 1.5, 2.0), (2.0, 2.0, 3.0)]
 
 @st.composite
 def small_cases(draw, kinds=("rigid-body", "heavy-body", "random", "constant")):
-    """(system, momentum covector, q, qdot, cyclic velocities) with d <= 3."""
+    """(system, momentum covector, q, qdot, cyclic velocities) with d = 2 or 3."""
     kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind in ("rigid-body", "heavy-body"):
@@ -297,7 +297,8 @@ def small_cases(draw, kinds=("rigid-body", "heavy-body", "random", "constant")):
         sys = central_force_system(harmonic_radial_potential(rng.uniform(0.1, 2.0)))
     else:
         n, k, l = draw(st.sampled_from([(1, 1, 0), (1, 0, 1), (2, 0, 1), (2, 1, 0),
-                                        (1, 2, 0), (1, 1, 1), (1, 0, 2)]))
+                                        (1, 2, 0), (1, 1, 1), (1, 0, 2), (2, 0, 0),
+                                        (3, 0, 0)]))
         sys = random_system(rng, n=n, k=k, l=l, constant=kind == "constant")
     q = next(chart_states(rng, sys, 1))
     scale = draw(st.sampled_from([1e-3, 1.0, 10.0]))
@@ -309,7 +310,7 @@ def small_cases(draw, kinds=("rigid-body", "heavy-body", "random", "constant")):
 @given(case=small_cases())
 def test_float_path_matches_numpy_path(case):
     sys, c, q, qdot, w = case
-    assert sys.dim <= reduction._FLOAT_MAX_DIM
+    assert sys.dim in reduction._FLOAT_DIMS
     f = MomentumValue(xi=c[:sys.k], eta=c[sys.k:])
 
     # reduced right-hand side at momentum c
@@ -380,7 +381,7 @@ def _bad_metric(matrix):
 @pytest.mark.parametrize("path", ["float", "numpy"])
 def test_both_paths_raise_the_same_error(make, q, error, path, monkeypatch):
     if path == "numpy":
-        monkeypatch.setattr(reduction, "_FLOAT_MAX_DIM", 0)
+        monkeypatch.setattr(reduction, "_FLOAT_DIMS", ())
     sys = make()
     q = np.array(q)
     y = np.concatenate([q, np.zeros(sys.n_cyclic), np.ones(sys.dim)])
@@ -397,7 +398,7 @@ def test_both_paths_raise_the_same_error(make, q, error, path, monkeypatch):
 
 def test_non_finite_metric_refused_on_the_numpy_path():
     sys = constant_matrix_system(2, 1, 1, np.diag([1.0, 2.0, np.inf, 4.0]))
-    assert sys.dim > reduction._FLOAT_MAX_DIM
+    assert sys.dim not in reduction._FLOAT_DIMS
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NotPositiveDefinite):

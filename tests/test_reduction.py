@@ -1,5 +1,7 @@
 """Reduction core: blocks, momentum map, cyclic solve, Routhian, dynamics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from routhkit import (
     symplectic_det_pair,
 )
 from routhkit.integrate import full_rhs
-from routhkit.reduction import _checked_metric, evaluate_metric
+from routhkit.reduction import _UPPER, _checked_metric, evaluate_metric
 
 from conftest import kinetic_oracle, reduced_field
 
@@ -365,8 +367,8 @@ def uncoupled_system(rng, n):
                            potential=lambda q: float(coeffs @ np.cos(q)))
 
 
-@pytest.mark.parametrize("n, float_path", [(2, True), (4, False)],
-                         ids=["d2-float-factor", "d4-numpy-solve"])
+@pytest.mark.parametrize("n, float_path", [(2, True), (4, False), (1, False)],
+                         ids=["d2-float-factor", "d4-numpy-solve", "d1-numpy-solve"])
 def test_empty_cyclic_block_is_the_euler_lagrange_system(rng, n, float_path):
     sys = uncoupled_system(rng, n)
     f = MomentumValue.zero(0, 0)
@@ -385,6 +387,10 @@ def test_empty_cyclic_block_is_the_euler_lagrange_system(rng, n, float_path):
         assert np.array_equal(qdot, full[:n])
         assert np.array_equal(qddot, full[n:])
         assert np.any(qddot != 0.0)
+        if n in _UPPER:     # the same metric handed over as a packed triangle
+            packed = replace(sys, mass_matrix=lambda q: tuple(
+                sys.mass_matrix(q)[_UPPER[n]].tolist()))
+            assert full_rhs(packed)(np.concatenate([r.q, r.qdot])) == full.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +423,17 @@ def test_full_state_normalizes_angles():
     assert np.all(s.psi >= 0.0)
     assert np.all(s.psi < 2 * np.pi)
     assert s.psi[0] == pytest.approx(7.0 - 2 * np.pi, abs=1e-15)
+
+
+@pytest.mark.parametrize("n, k, l, message", [
+    (0, 0, 1, "at least one shape coordinate"),
+    (1, -1, 0, "non-negative"),
+    (1, 0, -1, "non-negative"),
+], ids=["no-shape", "negative-k", "negative-l"])
+def test_symmetric_system_rejects_bad_counts(n, k, l, message):
+    with pytest.raises(ValueError, match=message):
+        SymmetricSystem(n=n, k=k, l=l, mass_matrix=lambda q: np.eye(n + k + l),
+                        potential=lambda q: 0.0)
 
 
 def test_momentum_value_rejects_non_finite():

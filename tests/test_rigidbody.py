@@ -247,6 +247,8 @@ def test_lambda_grid_mismatch():
     t = np.linspace(0.0, 2.0, 21)
     with pytest.raises(GridMismatch):
         lambda_average(t, np.ones(21), 3.0)
+    with pytest.raises(GridMismatch, match="times and samples must align"):
+        lambda_average(t, np.ones(20), 3.0)     # reported before the span
 
 
 def test_lambda_rejects_repeated_time():
