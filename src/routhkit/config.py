@@ -216,7 +216,9 @@ def parse_config(raw: dict) -> RunConfig:
             max_steps=_as_whole(integ.get("max_steps", 2_000_000), "integrator.max_steps", 1),
         )
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        # the message begins with the field at fault; only dt is a top-level key
+        msg = str(exc)
+        raise ConfigError(msg if msg.startswith("dt ") else f"integrator.{msg}") from exc
 
     init = raw.get("initial", {}) or {}
     _require(isinstance(init, dict), "initial must be a mapping")

@@ -420,7 +420,7 @@ def principal_section_orbits(p: RigidBodyParams, cd: ConformalData) -> Dict[str,
         # energy of the orbit family while least squares absorbs the
         # time-shift direction
         phase_index = 3 + int(np.argmax(np.abs(seed[3:])))
-        orbits[plane] = shoot_periodic(flow, seed, T_guess, _SHOOT_CFG, tol=_SECTION_TOL,
+        orbits[plane] = shoot_periodic(flow, seed, T_guess, tol=_SECTION_TOL,
                                        phase_index=phase_index)
     return orbits
 

@@ -47,6 +47,10 @@ class IntegratorConfig:
         dt: fixed step for rk4, initial step for rk45 (time units).
         abs_tol, rel_tol: adaptive local error tolerances.
         max_steps: hard cap on accepted steps.
+
+    Raises:
+        ValueError: a setting is invalid; the message begins with its field
+            name.
     """
 
     method: str = "rk4"
@@ -57,11 +61,13 @@ class IntegratorConfig:
 
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
-            raise ValueError(f"unknown method {self.method!r}")
+            raise ValueError(f"method must be 'rk4' or 'rk45', got {self.method!r}")
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.abs_tol > 0:
+            raise ValueError("abs_tol must be positive")
+        if not self.rel_tol > 0:
+            raise ValueError("rel_tol must be positive")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
 
@@ -405,7 +411,7 @@ def cumulative_quadrature(times, values) -> np.ndarray:
     """
     t = _grid(times)
     y = np.asarray(values, dtype=float)
-    if y.shape[0] != t.size:
+    if y.shape[:1] != t.shape:
         raise ValueError("values must align with times")
     out = np.zeros_like(y)
     last = 2 * ((t.size - 1) // 2)  # index of the last sample closing a pair
@@ -504,11 +510,12 @@ def reparametrize_time(traj: Trajectory, factor) -> Trajectory:
     return Trajectory(times=tau, states=traj.states.copy(), meta=replace(traj.meta))
 
 
+_SHOOT_MAX_ITER = 25  # accepted damped steps before shoot_periodic gives up
+
+
 def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
                    T_guess: float, cfg: IntegratorConfig = None, *,
-                   tol: float = 1e-8, max_iter: int = 25,
-                   phase_index: int = 0,
-                   angle_indices: tuple = ()) -> PeriodicOrbit:
+                   tol: float = 1e-8, phase_index: int = 0) -> PeriodicOrbit:
     """Newton-Broyden refinement of a periodic orbit of ``flow``.
 
     Solves flow(s, T) = s for the unknown vector z = (s, T), with one phase
@@ -525,14 +532,11 @@ def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
 
     Args:
         cfg: ignored (``flow`` carries its own settings); kept for positional callers.
-        max_iter: accepted damped steps allowed before giving up.
-        angle_indices: state components that live on a circle; their
-            closure gap is taken modulo 2*pi (rotation-type orbits close
-            only up to full turns of the chart angle).
 
     Raises:
-        NoConvergence: closure error above ``tol`` after ``max_iter`` steps,
-            or the line search stalled on a freshly built Jacobian.
+        NoConvergence: closure error above ``tol`` after ``_SHOOT_MAX_ITER``
+            accepted steps, or the line search stalled on a freshly built
+            Jacobian.
     """
     z = np.append(np.asarray(guess, dtype=float), float(T_guess))
     anchor = z[:-1][phase_index]
@@ -541,8 +545,6 @@ def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
     def residual(z):
         s = z[:-1]
         r = flow(s, float(z[-1])) - s
-        for j in angle_indices:
-            r[j] = (r[j] + np.pi) % (2.0 * np.pi) - np.pi
         return np.append(r, s[phase_index] - anchor)
 
     def closure_of(res):
@@ -565,7 +567,7 @@ def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
     J = fd_jacobian(z, r)
     jacobians, fresh = 1, True
     history = []
-    while len(history) < max_iter:
+    while len(history) < _SHOOT_MAX_ITER:
         step, *_ = np.linalg.lstsq(J, -r, rcond=None)
 
         # damped update: halve until the closure improves
@@ -606,6 +608,6 @@ def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
                                  closure_error=closure, iterations=iterations,
                                  closure_history=tuple(history), jacobians=jacobians)
     raise NoConvergence(
-        f"shooting did not reach tol={tol:.1e} in {max_iter} iterations "
+        f"shooting did not reach tol={tol:.1e} in {_SHOOT_MAX_ITER} iterations "
         f"(closure {closure:.3e})"
     )

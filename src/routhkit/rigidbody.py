@@ -187,21 +187,18 @@ def lambda_average(times, psidot_samples, T: float) -> float:
     angle satisfies psi(T) - psi(0) = lambda * T up to quadrature error.
 
     Raises:
-        GridMismatch: samples do not cover exactly [0, T], or the times are
-            not finite and strictly increasing.
+        GridMismatch: the samples do not align with at least two finite,
+            strictly increasing times, or the times do not span exactly [0, T].
     """
     t = np.asarray(times, dtype=float)
-    vals = np.asarray(psidot_samples, dtype=float)
-    if t.size != vals.size:
-        raise GridMismatch("times and samples must align")
+    try:
+        integral = cumulative_quadrature(t, psidot_samples)[-1]
+    except ValueError as exc:
+        raise GridMismatch(str(exc)) from exc
     if abs(t[0]) > 1e-9 * max(1.0, abs(T)) or abs(t[-1] - T) > 1e-9 * max(1.0, abs(T)):
         raise GridMismatch(
             f"samples span [{t[0]:.6g}, {t[-1]:.6g}], expected [0, {T:.6g}]"
         )
-    try:
-        integral = cumulative_quadrature(t, vals)[-1]
-    except ValueError as exc:
-        raise GridMismatch(str(exc)) from exc
     return float(integral) / T
 
 

@@ -173,7 +173,7 @@ def test_criterion_8_rotating_frame(kolosov_report):
 
 def test_equatorial_orbit_closed_form(kolosov_report, triaxial_params):
     # the equatorial orbit spins about the C axis at omega = sqrt(2h / C)
-    # without precessing; the shooter starts from and keeps this closed form
+    # without precessing; the report takes its period in this closed form
     rep = kolosov_report[0]
     T = 2.0 * np.pi * np.sqrt(triaxial_params.C / (2.0 * rep["h"]))
     assert abs(rep["equatorial_period"] - T) <= 1e-12 * T
@@ -183,8 +183,9 @@ def test_equatorial_orbit_closed_form(kolosov_report, triaxial_params):
 def test_z_section_length_is_the_equatorial_orbit_time(kolosov_report):
     # the z-section geodesic is the image of the equatorial reduced orbit; on
     # the zero-energy level sqrt(h a) |u'| = sqrt(2) h a, and a d(tau) = dt, so
-    # its sigma-length is sqrt(2) h T_eq.  The left side is RK4 quadrature on
-    # the ellipsoid, the right side the DP45 shot in the Euler-angle chart.
+    # its sigma-length is sqrt(2) h T_eq.  The left side is RK4 quadrature
+    # along the shot z-section orbit on the ellipsoid, the right side the
+    # closed-form period of the equatorial orbit in the Euler-angle chart.
     rep = kolosov_report[0]
     expected = np.sqrt(2.0) * rep["h"] * rep["equatorial_period"]
     assert abs(rep["sections"]["z"]["dsigma_length"] - expected) <= 1e-9 * expected

@@ -442,9 +442,9 @@ def test_flow_match_covers_the_whole_window():
 
 def test_equatorial_results_do_not_depend_on_dt(triaxial_params, triaxial_system,
                                                zero_momentum, generic_state):
-    # the equatorial orbit is shot and integrated with DP45 at the shooting
-    # tolerance, so halving the RK4 step of the rest of the run leaves every
-    # equatorial number unchanged to the bit
+    # the equatorial orbit is taken in closed form and integrated with DP45
+    # at the shooting tolerance, so halving the RK4 step of the rest of the
+    # run leaves every equatorial number unchanged to the bit
     h0 = reduced_energy(triaxial_system, zero_momentum, generic_state)
     reps = [run_kolosov(triaxial_params, generic_state, dt=dt, energy_target=100.0 * h0)[0]
             for dt in (4e-3, 2e-3)]

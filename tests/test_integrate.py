@@ -185,15 +185,16 @@ def test_float_overflow_raises_step_failure(run):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    # each message begins with the field at fault; the config loader relies on it
+    with pytest.raises(ValueError, match="^method "):
         IntegratorConfig(method="euler")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dt "):
         IntegratorConfig(dt=-0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^max_steps "):
         IntegratorConfig(max_steps=0)
-    with pytest.raises(ValueError, match="tolerances"):
+    with pytest.raises(ValueError, match="^abs_tol "):
         IntegratorConfig(abs_tol=0.0)
-    with pytest.raises(ValueError, match="tolerances"):
+    with pytest.raises(ValueError, match="^rel_tol "):
         IntegratorConfig(rel_tol=-1e-12)
 
 
@@ -295,6 +296,8 @@ def test_quadrature_rejects_bad_grid(times):
 def test_quadrature_rejects_misaligned_values():
     with pytest.raises(ValueError, match="values must align"):
         cumulative_quadrature([0.0, 1.0, 2.0], np.ones(4))
+    with pytest.raises(ValueError, match="values must align"):
+        cumulative_quadrature([0.0, 1.0, 2.0], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +536,7 @@ def test_shoot_no_orbit_raises():
     def drift_flow(s, T):
         return s + T
     with pytest.raises(NoConvergence):
-        shoot_periodic(drift_flow, [0.0], 1.0, max_iter=8)
+        shoot_periodic(drift_flow, [0.0], 1.0)
 
 
 def test_shoot_rebuilds_jacobian_when_broyden_stalls():

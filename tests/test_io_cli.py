@@ -461,7 +461,7 @@ def test_config_rejects_bad_energy_target(target):
     (custom_config(matrix="abc"), "custom.matrix"),
     (custom_config(matrix=5), "custom.matrix"),
     (custom_config(matrix=np.eye(3).tolist()), "custom.matrix"),
-    ({"integrator": {"method": "euler"}}, "unknown method"),
+    ({"integrator": {"method": "euler"}}, "integrator.method"),
 ], ids=["t_end-inf", "t_end-text", "dt-text", "dt-list", "coefficient-text",
         "coefficient-nan", "max_steps-inf", "abs_tol-list", "custom-n-text",
         "custom-matrix-entry-text", "custom-matrix-text", "custom-matrix-scalar",
@@ -492,6 +492,18 @@ def test_config_rejects_booleans_nested_lists_and_fractional_steps(tmp_path, cap
         parse_config(cfg)
     assert main(["simulate-reduced", "--config", write_config(tmp_path, cfg)]) == 2
     assert f"error: {key}" in capsys.readouterr().err
+
+
+# integrator.method is covered by the "method-euler" case above
+@pytest.mark.parametrize("overrides, key", [
+    ({"integrator": {"method": "rk45", "abs_tol": 0.0}}, "integrator.abs_tol"),
+    ({"integrator": {"method": "rk45", "rel_tol": -1e-9}}, "integrator.rel_tol"),
+    ({"dt": 0.0}, "dt"),
+], ids=["abs_tol", "rel_tol", "dt"])
+def test_integrator_setting_errors_begin_with_their_key(tmp_path, capsys, overrides, key):
+    cfg = base_config(**overrides)
+    assert main(["simulate-reduced", "--config", write_config(tmp_path, cfg)]) == 2
+    assert f"error: {key} must be" in capsys.readouterr().err
 
 
 def test_config_accepts_whole_number_max_steps():
@@ -597,6 +609,27 @@ def test_cli_kolosov_sphere_periods_equal(tmp_path, capsys):
     periods = [report["sections"][plane]["period"] for plane in ("x", "y", "z")]
     assert max(periods) - min(periods) < 1e-8
     assert report["all_passed"] is True
+    jsonschema = pytest.importorskip("jsonschema")
+    with open(SCHEMA_PATH) as handle:
+        jsonschema.validate(report, json.load(handle))
+
+
+@pytest.mark.parametrize("inertia, equal", [([1.0, 1.0, 1.5], "xy"), ([1.0, 1.5, 1.5], "yz")],
+                         ids=["A=B", "B=C"])
+def test_cli_kolosov_axisymmetric_body(tmp_path, capsys, inertia, equal):
+    # with exactly two equal moments no section-period check is made; the
+    # two equal-moment sections are congruent and share one period
+    cfg_path = write_config(tmp_path, base_config(inertia=inertia, energy_target=20.0, dt=0.01))
+    report_path = str(tmp_path / "kolosov.json")
+    assert main(["kolosov", "--config", cfg_path, "--output", str(tmp_path / "ell.csv"),
+                 "--report", report_path]) == 0
+    capsys.readouterr()
+    with open(report_path) as handle:
+        report = json.load(handle)
+    assert all(c["passed"] for c in report["checks"])
+    assert not any(c["name"].startswith("section-periods") for c in report["checks"])
+    first, second = (report["sections"][plane]["period"] for plane in equal)
+    assert abs(first - second) <= 1e-8
     jsonschema = pytest.importorskip("jsonschema")
     with open(SCHEMA_PATH) as handle:
         jsonschema.validate(report, json.load(handle))

@@ -21,6 +21,7 @@ from routhkit import (
     lagrangian_full,
     lambda_average,
     momentum_map,
+    propagate,
     psi_dot_zero_momentum,
     rb_system,
     reconstruct,
@@ -31,7 +32,7 @@ from routhkit import (
 )
 from routhkit.reduction import evaluate_metric
 
-from conftest import kinetic_oracle, reduced_field
+from conftest import GENERIC_Q, GENERIC_QDOT, TRIAXIAL, body_rates, kinetic_oracle, reduced_field
 
 
 def random_chart_state(rng):
@@ -247,8 +248,12 @@ def test_lambda_grid_mismatch():
     t = np.linspace(0.0, 2.0, 21)
     with pytest.raises(GridMismatch):
         lambda_average(t, np.ones(21), 3.0)
-    with pytest.raises(GridMismatch, match="times and samples must align"):
+    with pytest.raises(GridMismatch, match="values must align with times"):
         lambda_average(t, np.ones(20), 3.0)     # reported before the span
+    with pytest.raises(GridMismatch, match="at least two samples"):
+        lambda_average([], [], 3.0)
+    with pytest.raises(GridMismatch, match="values must align with times"):
+        lambda_average([0.0, 3.0], 1.0, 3.0)
 
 
 def test_lambda_rejects_repeated_time():
@@ -333,3 +338,33 @@ def test_rotating_frame_on_detected_orbit(triaxial_params, triaxial_system,
     mask = red.times <= T + 1e-12
     lam = lambda_average(red.times[mask], full.states[mask, 5], T)
     assert rotating_frame_residual(full, lam, T) < 1e-6
+
+
+def _vertical(phi, theta):
+    """The spatial vertical in the body frame: gamma on the Poisson sphere."""
+    return np.array([np.sin(theta) * np.sin(phi), np.sin(theta) * np.cos(phi), np.cos(theta)])
+
+
+@pytest.mark.parametrize("c", [0.0, 0.8], ids=["free", "heavy"])
+def test_chart_reduction_matches_euler_poisson(c):
+    # Euler-Poisson on R^6 is the chart-free reduced system: (I w)' = I w x w
+    # + gamma x dV/dgamma and gamma' = gamma x w, with V = c gamma_3; with the
+    # opposite torque sign the heavy body's gamma ends about 1 away at t = 5
+    p = RigidBodyParams(*TRIAXIAL, potential=heavy_potential(c) if c else None)
+    inertia = np.array([p.A, p.B, p.C])
+    (phi, theta), (phidot, thetadot) = GENERIC_Q, GENERIC_QDOT
+    psidot = psi_dot_zero_momentum(p, phi, theta, phidot, thetadot)
+    w0 = np.array(body_rates(phi, theta, phidot, thetadot, psidot))
+
+    def euler_poisson(y):
+        m, g = np.asarray(y[:3]), np.asarray(y[3:])
+        w = m / inertia
+        return np.concatenate([np.cross(m, w) + np.cross(g, [0.0, 0.0, c]), np.cross(g, w)])
+
+    cfg = IntegratorConfig(method="rk45", dt=1e-2, abs_tol=1e-12, rel_tol=1e-12)
+    end = propagate(euler_poisson, np.concatenate([inertia * w0, _vertical(phi, theta)]),
+                    0.0, 5.0, cfg)
+    chart = integrate_reduced(rb_system(p), MomentumValue.zero(0, 1),
+                              ReducedState(q=GENERIC_Q, qdot=GENERIC_QDOT), 0.0, 5.0, cfg)
+    assert np.max(np.abs(end[3:] - _vertical(*chart.states[-1, :2]))) <= 1e-10
+    assert abs(end[:3] @ end[3:]) <= 1e-10     # zero momentum: I w . gamma = 0
