@@ -426,11 +426,23 @@ def principal_section_orbits(p: RigidBodyParams, cd: ConformalData) -> Dict[str,
 
 
 def dsigma_length(p: RigidBodyParams, cd: ConformalData, orbit: PeriodicOrbit,
-                  cfg: IntegratorConfig = IntegratorConfig(method="rk4", dt=1e-3)) -> float:
+                  cfg: IntegratorConfig = _SHOOT_CFG) -> float:
     """Length of a closed orbit in the rescaled surface metric: the speed
-    sqrt(h a(u)) |udot| integrated over one period of the constrained flow."""
-    start = EllipsoidState.from_vector(orbit.initial_state)
-    traj = constrained_flow(p, cd, start, 0.0, orbit.period, cfg)
-    u, udot = traj.states[:, :3], traj.states[:, 3:]
-    _require_on_surface(p, u)
-    return float(cumulative_quadrature(traj.times, _speed_unchecked(p, cd.h, u, udot))[-1])
+    sqrt(h a(u)) |udot| integrated over one period of the constrained flow,
+    carried as a seventh state that the projection leaves alone, so one
+    integration gives it.  Every stored point must lie on the surface."""
+    flow, project = _flow_rhs(p, cd), _flow_project(p)
+    A2, B2, C2, h_abc = p.A * p.A, p.B * p.B, p.C * p.C, cd.h * p.A * p.B * p.C
+
+    def rhs(s: list) -> list:
+        x, y, z, vx, vy, vz = s[:6]
+        a_h = h_abc / (A2 * x * x + B2 * y * y + C2 * z * z)
+        return flow(s[:6]) + [math.sqrt(a_h * (vx * vx + vy * vy + vz * vz))]
+
+    def project_carried(s: list) -> list:
+        return project(s[:6]) + [s[6]]
+
+    start = project(orbit.initial_state.tolist()) + [0.0]
+    traj = integrate_ode(rhs, start, 0.0, orbit.period, cfg, project=project_carried)
+    _require_on_surface(p, traj.states[:, :3])
+    return float(traj.states[-1, 6])

@@ -49,8 +49,9 @@ class IntegratorConfig:
         max_steps: hard cap on accepted steps.
 
     Raises:
-        ValueError: a setting is invalid; the message begins with its field
-            name.
+        ValueError: a setting is invalid (dt or a tolerance not finite and
+            positive, max_steps not a whole number >= 1); the message begins
+            with its field name.
     """
 
     method: str = "rk4"
@@ -62,14 +63,11 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"method must be 'rk4' or 'rk45', got {self.method!r}")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.abs_tol > 0:
-            raise ValueError("abs_tol must be positive")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        for name in ("dt", "abs_tol", "rel_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not (self.max_steps >= 1 and float(self.max_steps).is_integer()):
+            raise ValueError("max_steps must be a whole number >= 1")
 
 
 @dataclass

@@ -20,7 +20,6 @@ from .ellipsoid import (
     _flow_rhs,
     _speed_unchecked,
     conformal_factor,
-    dsigma_length,
     kolosov_map,
     kolosov_velocity,
     principal_section_orbits,
@@ -39,6 +38,7 @@ from .integrate import (
     reparametrize_time,
 )
 # Not called here: perfbench/tracing.py wraps these as attributes of this module.
+from .ellipsoid import dsigma_length  # noqa: F401
 from .integrate import propagate, reduced_vector_field, shoot_periodic  # noqa: F401
 from .reduction import (
     FullState,
@@ -324,7 +324,10 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
     rescaled-time image on the ellipsoid that it writes as CSV.  After the
     common fields the report carries ``h``, ``window``, ``sections``,
     ``lambda`` and ``equatorial_period``; the section-period check is made
-    for triaxial and spherical bodies only.
+    for triaxial and spherical bodies only.  Each section orbit is
+    integrated once, by its shooting.  Section i is the uniform rotation
+    about principal axis i, so its ``dsigma_length`` is taken in closed
+    form, 2 pi sqrt(h I_i).
 
     Raises:
         InvalidParams: ``params`` carries a potential; the run covers the
@@ -349,19 +352,19 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
 
     # geodesic candidates first: their periods set the comparison window
     orbits = principal_section_orbits(params, cd)
+    moments = (params.A, params.B, params.C)
     sections = {
         plane: {
-            "period": orbit.period,
-            "closure_error": orbit.closure_error,
-            "dsigma_length": dsigma_length(params, cd, orbit),
+            "period": orbits[plane].period,
+            "closure_error": orbits[plane].closure_error,
+            "dsigma_length": 2.0 * np.pi * np.sqrt(h * moment),
         }
-        for plane, orbit in orbits.items()
+        for plane, moment in zip("xyz", moments)
     }
     periods = [sections[p]["period"] for p in ("x", "y", "z")]
     gaps = [abs(periods[0] - periods[1]), abs(periods[1] - periods[2]),
             abs(periods[0] - periods[2])]
     period_checks = []
-    moments = (params.A, params.B, params.C)
     if len(set(moments)) == 3:
         period_checks.append(CheckResult(name="section-periods-distinct",
                                          passed=bool(min(gaps) > 1e-6),

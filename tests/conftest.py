@@ -77,3 +77,15 @@ def kinetic_oracle(params, phi, theta, phidot, thetadot, psidot):
     independently of the assembled kinetic matrix."""
     w1, w2, w3 = body_rates(phi, theta, phidot, thetadot, psidot)
     return 0.5 * (params.A * w1 ** 2 + params.B * w2 ** 2 + params.C * w3 ** 2)
+
+
+def euler_poisson(inertia, c):
+    """Euler-Poisson on R^6 (m = I w, gamma), the chart-free reduced rigid
+    body: (I w)' = I w x w + gamma x dV/dgamma and gamma' = gamma x w, with
+    the heavy potential V = c gamma_3."""
+    def rhs(y):
+        m, g = np.asarray(y[:3]), np.asarray(y[3:])
+        w = m / inertia
+        return np.concatenate([np.cross(m, w) + np.cross(g, [0.0, 0.0, c]), np.cross(g, w)])
+
+    return rhs

@@ -14,6 +14,7 @@ from routhkit import (
     IntegratorConfig,
     RigidBodyParams,
     complete_state,
+    dsigma_length,
     integrate_full,
     integrate_ode,
     integrate_reduced,
@@ -180,15 +181,18 @@ def test_equatorial_orbit_closed_form(kolosov_report, triaxial_params):
     assert abs(rep["lambda"]) <= 1e-12
 
 
-def test_z_section_length_is_the_equatorial_orbit_time(kolosov_report):
+def test_z_section_length_is_the_equatorial_orbit_time(kolosov_report, triaxial_params):
     # the z-section geodesic is the image of the equatorial reduced orbit; on
     # the zero-energy level sqrt(h a) |u'| = sqrt(2) h a, and a d(tau) = dt, so
-    # its sigma-length is sqrt(2) h T_eq.  The left side is RK4 quadrature
-    # along the shot z-section orbit on the ellipsoid, the right side the
-    # closed-form period of the equatorial orbit in the Euler-angle chart.
+    # its sigma-length is sqrt(2) h T_eq.  The left side is the length carried
+    # along the shot z-section orbit on the ellipsoid at the report's h, the
+    # right side the closed-form period of the equatorial orbit in the
+    # Euler-angle chart.
     rep = kolosov_report[0]
+    cd = ConformalData(h=rep["h"])
+    orbit = principal_section_orbits(triaxial_params, cd)["z"]
     expected = np.sqrt(2.0) * rep["h"] * rep["equatorial_period"]
-    assert abs(rep["sections"]["z"]["dsigma_length"] - expected) <= 1e-9 * expected
+    assert abs(dsigma_length(triaxial_params, cd, orbit) - expected) <= 1e-10 * expected
 
 
 def test_criterion_9_rk4_order():

@@ -43,7 +43,7 @@ from routhkit import integrate as integ
 from routhkit import verify
 from routhkit.verify import run_kolosov
 
-from conftest import check
+from conftest import check, euler_poisson
 
 
 def closed_form_section_period(p, h, plane):
@@ -275,6 +275,34 @@ def test_physical_time_flow_conserves_energy(triaxial):
     assert worst < 1e-7
 
 
+@pytest.mark.parametrize("body, c", [
+    ((1.0, 2.0, 3.0), 0.0), ((1.0, 1.5, 2.0), 0.0), ((2.0, 3.0, 4.5), 0.0), ((1.0, 2.0, 3.0), 0.8),
+], ids=["1-2-3-free", "1-1.5-2-free", "2-3-4.5-free", "1-2-3-heavy"])
+def test_physical_time_flow_is_euler_poisson_through_the_pole(body, c):
+    # Kolosov: u = gamma / sqrt(I) carries zero-momentum Euler-Poisson
+    # motions onto the physical-time flow on the ellipsoid with
+    # V = c gamma_3 = c sqrt(C) u_z and h = 1/2 I w . w + V.  The start
+    # gamma = e3 is the Euler-angle chart's pole, so no chart run could
+    # follow these orbits.
+    inertia = np.array(body)
+    root = np.sqrt(inertia)
+    g0 = np.array([0.0, 0.0, 1.0])
+    w0 = np.array([0.6, -0.9, 0.0])  # I w . gamma = 0
+    w0 /= np.sqrt(w0 @ (inertia * w0))  # 1/2 I w . w = 0.5
+    cfg = IntegratorConfig(method="rk45", dt=1e-2, abs_tol=1e-12, rel_tol=1e-12)
+    end = integ.propagate(euler_poisson(inertia, c), np.concatenate([inertia * w0, g0]),
+                          0.0, 10.0, cfg)
+    if c:
+        cd = ConformalData(h=0.5 + c, potential=lambda u: c * root[2] * u[2],
+                           potential_grad=lambda u: np.array([0.0, 0.0, c * root[2]]))
+    else:
+        cd = ConformalData(h=0.5)
+    p = RigidBodyParams(*body)
+    traj = constrained_flow(p, cd, EllipsoidState(u=g0 / root, udot=np.cross(g0, w0) / root),
+                            0.0, 10.0, cfg, physical_time=True)
+    assert np.max(np.abs(traj.states[-1, :3] - end[3:] / root)) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # rescaled-metric speed
 
@@ -382,6 +410,20 @@ def test_sections_sphere_periods_equal():
     assert periods[0] == pytest.approx(2.0 * np.pi, abs=1e-9)
     length = dsigma_length(p, ConformalData(h=h), orbits["z"])
     assert length == pytest.approx(2.0 * np.pi * np.sqrt(h), rel=1e-9)
+
+
+@pytest.mark.parametrize("h", [0.5, 19.49])
+@pytest.mark.parametrize("body", [(1.0, 2.0, 3.0), (1.0, 1.5, 2.0), (2.0, 3.0, 4.5)],
+                         ids=["1-2-3", "1-1.5-2", "2-3-4.5"])
+def test_dsigma_length_is_the_uniform_rotation_length(body, h):
+    # section i is the uniform rotation about principal axis i, whose
+    # sigma-length is 2 pi sqrt(h I_i)
+    p = RigidBodyParams(*body)
+    cd = ConformalData(h=h)
+    orbits = principal_section_orbits(p, cd)
+    for plane, moment in zip("xyz", body):
+        expected = 2.0 * np.pi * np.sqrt(h * moment)
+        assert dsigma_length(p, cd, orbits[plane]) == pytest.approx(expected, rel=1e-10)
 
 
 def test_sections_refine_perturbed_period_guess(triaxial):

@@ -188,14 +188,15 @@ def test_config_validation():
     # each message begins with the field at fault; the config loader relies on it
     with pytest.raises(ValueError, match="^method "):
         IntegratorConfig(method="euler")
-    with pytest.raises(ValueError, match="^dt "):
-        IntegratorConfig(dt=-0.1)
-    with pytest.raises(ValueError, match="^max_steps "):
-        IntegratorConfig(max_steps=0)
-    with pytest.raises(ValueError, match="^abs_tol "):
-        IntegratorConfig(abs_tol=0.0)
-    with pytest.raises(ValueError, match="^rel_tol "):
-        IntegratorConfig(rel_tol=-1e-12)
+    # an infinite dt crosses any span in one RK4 step, an infinite tolerance
+    # accepts every trial step: neither may pass as a setting
+    for name in ("dt", "abs_tol", "rel_tol"):
+        for bad in (-0.1, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"^{name} "):
+                IntegratorConfig(**{name: bad})
+    for bad in (0, np.nan, 2.5, np.inf):
+        with pytest.raises(ValueError, match="^max_steps "):
+            IntegratorConfig(max_steps=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from routhkit import (
     ChartBoundary,
@@ -32,7 +34,8 @@ from routhkit import (
 )
 from routhkit.reduction import evaluate_metric
 
-from conftest import GENERIC_Q, GENERIC_QDOT, TRIAXIAL, body_rates, kinetic_oracle, reduced_field
+from conftest import (GENERIC_Q, GENERIC_QDOT, TRIAXIAL, body_rates, euler_poisson, kinetic_oracle,
+                      reduced_field)
 
 
 def random_chart_state(rng):
@@ -345,26 +348,29 @@ def _vertical(phi, theta):
     return np.array([np.sin(theta) * np.sin(phi), np.sin(theta) * np.cos(phi), np.cos(theta)])
 
 
-@pytest.mark.parametrize("c", [0.0, 0.8], ids=["free", "heavy"])
-def test_chart_reduction_matches_euler_poisson(c):
-    # Euler-Poisson on R^6 is the chart-free reduced system: (I w)' = I w x w
-    # + gamma x dV/dgamma and gamma' = gamma x w, with V = c gamma_3; with the
-    # opposite torque sign the heavy body's gamma ends about 1 away at t = 5
-    p = RigidBodyParams(*TRIAXIAL, potential=heavy_potential(c) if c else None)
+@pytest.mark.parametrize("heavy", [False, True], ids=["free", "heavy"])
+@settings(max_examples=15, deadline=None)
+@given(moments=st.tuples(*3 * [st.floats(1.0, 1.99, exclude_max=True)]),
+       q=st.tuples(st.floats(-np.pi, np.pi), st.floats(0.5, np.pi - 0.5)),
+       qdot=st.tuples(*2 * [st.floats(-0.5, 0.5)]),
+       c=st.floats(-1.0, 1.0), t_end=st.just(1.0))
+@example(moments=TRIAXIAL, q=GENERIC_Q, qdot=GENERIC_QDOT, c=0.8, t_end=5.0)
+def test_chart_reduction_matches_euler_poisson(heavy, moments, q, qdot, c, t_end):
+    # Euler-Poisson is the chart-free reduced system; with the opposite
+    # torque sign the heavy body's gamma ends about 1 away at t = 5 from the
+    # frozen state.  Moments in [1, 2) always form a body; drawn
+    # states keep off the chart poles.  The free body ignores the drawn c.
+    c = c if heavy else 0.0
+    p = RigidBodyParams(*moments, potential=heavy_potential(c) if heavy else None)
     inertia = np.array([p.A, p.B, p.C])
-    (phi, theta), (phidot, thetadot) = GENERIC_Q, GENERIC_QDOT
+    (phi, theta), (phidot, thetadot) = q, qdot
     psidot = psi_dot_zero_momentum(p, phi, theta, phidot, thetadot)
     w0 = np.array(body_rates(phi, theta, phidot, thetadot, psidot))
 
-    def euler_poisson(y):
-        m, g = np.asarray(y[:3]), np.asarray(y[3:])
-        w = m / inertia
-        return np.concatenate([np.cross(m, w) + np.cross(g, [0.0, 0.0, c]), np.cross(g, w)])
-
     cfg = IntegratorConfig(method="rk45", dt=1e-2, abs_tol=1e-12, rel_tol=1e-12)
-    end = propagate(euler_poisson, np.concatenate([inertia * w0, _vertical(phi, theta)]),
-                    0.0, 5.0, cfg)
+    end = propagate(euler_poisson(inertia, c),
+                    np.concatenate([inertia * w0, _vertical(phi, theta)]), 0.0, t_end, cfg)
     chart = integrate_reduced(rb_system(p), MomentumValue.zero(0, 1),
-                              ReducedState(q=GENERIC_Q, qdot=GENERIC_QDOT), 0.0, 5.0, cfg)
+                              ReducedState(q=q, qdot=qdot), 0.0, t_end, cfg)
     assert np.max(np.abs(end[3:] - _vertical(*chart.states[-1, :2]))) <= 1e-10
     assert abs(end[:3] @ end[3:]) <= 1e-10     # zero momentum: I w . gamma = 0
