@@ -33,7 +33,7 @@ from .integrate import (
     propagate,
     shoot_periodic,
 )
-from .reduction import gradient
+from .reduction import _real, gradient
 from .rigidbody import RigidBodyParams
 
 # Constraint residual allowed before an operation refuses the state.
@@ -71,7 +71,7 @@ class ConformalData:
     """Energy constant and the potential carried over to the ellipsoid.
 
     Attributes:
-        h: energy constant of the reduced motion.
+        h: energy constant of the reduced motion, stored as a Python float.
         potential: optional callable u -> V(u) on (a neighborhood of) the
             surface; None means a free body.
         potential_grad: optional analytic gradient of the potential; a
@@ -81,6 +81,9 @@ class ConformalData:
     h: float
     potential: Optional[Callable[[np.ndarray], float]] = None
     potential_grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "h", _real(self.h, "h"))
 
     def value(self, u: np.ndarray) -> float:
         if self.potential is None:
@@ -427,16 +430,19 @@ def principal_section_orbits(p: RigidBodyParams, cd: ConformalData) -> Dict[str,
 
 def dsigma_length(p: RigidBodyParams, cd: ConformalData, orbit: PeriodicOrbit,
                   cfg: IntegratorConfig = _SHOOT_CFG) -> float:
-    """Length of a closed orbit in the rescaled surface metric: the speed
-    sqrt(h a(u)) |udot| integrated over one period of the constrained flow,
-    carried as a seventh state that the projection leaves alone, so one
-    integration gives it.  Every stored point must lie on the surface."""
+    """Length of a closed orbit in the Jacobi metric of the zero-energy flow:
+    the speed sqrt(a(u) (h - V(u))) |udot| (sqrt(h a(u)) |udot| for a free
+    body) integrated over one period of the constrained flow, carried as a
+    seventh state that the projection leaves alone, so one integration
+    gives it.  Every stored point must lie on the surface."""
     flow, project = _flow_rhs(p, cd), _flow_project(p)
-    A2, B2, C2, h_abc = p.A * p.A, p.B * p.B, p.C * p.C, cd.h * p.A * p.B * p.C
+    A2, B2, C2, abc = p.A * p.A, p.B * p.B, p.C * p.C, p.A * p.B * p.C
+    h_abc, free = cd.h * p.A * p.B * p.C, cd.potential is None
 
     def rhs(s: list) -> list:
         x, y, z, vx, vy, vz = s[:6]
-        a_h = h_abc / (A2 * x * x + B2 * y * y + C2 * z * z)
+        weight = h_abc if free else abc * (cd.h - cd.value(np.array([x, y, z])))
+        a_h = weight / (A2 * x * x + B2 * y * y + C2 * z * z)
         return flow(s[:6]) + [math.sqrt(a_h * (vx * vx + vy * vy + vz * vz))]
 
     def project_carried(s: list) -> list:

@@ -28,6 +28,7 @@ from .reduction import (
     SymmetricSystem,
     _checked_metric,
     _finite_vector,
+    _real,
     _reduced_accel,
     accel,
     energy_full,
@@ -48,10 +49,13 @@ class IntegratorConfig:
         abs_tol, rel_tol: adaptive local error tolerances.
         max_steps: hard cap on accepted steps.
 
+    ``dt``, ``abs_tol`` and ``rel_tol`` are stored as Python floats.
+
     Raises:
         ValueError: a setting is invalid (dt or a tolerance not finite and
             positive, max_steps not a whole number >= 1); the message begins
             with its field name.
+        TypeError: dt or a tolerance is not a real number.
     """
 
     method: str = "rk4"
@@ -64,8 +68,10 @@ class IntegratorConfig:
         if self.method not in ("rk4", "rk45"):
             raise ValueError(f"method must be 'rk4' or 'rk45', got {self.method!r}")
         for name in ("dt", "abs_tol", "rel_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
+            value = _real(getattr(self, name), name)
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+            object.__setattr__(self, name, value)
         if not (self.max_steps >= 1 and float(self.max_steps).is_integer()):
             raise ValueError("max_steps must be a whole number >= 1")
 

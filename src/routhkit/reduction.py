@@ -11,6 +11,7 @@ pure functions of their inputs and safe to call concurrently.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -43,9 +44,18 @@ def _finite_vector(value, size: int, name: str) -> np.ndarray:
     vec = np.atleast_1d(np.asarray(value, dtype=float))
     if vec.shape != (size,):
         raise ValueError(f"{name} must have shape ({size},), got {vec.shape}")
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise ValueError(f"{name} must be finite, got {vec}")
     return vec
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a Python float, so the float kernels that read it never
+    run on NumPy scalars; a string or other non-number raises TypeError
+    instead of being parsed."""
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -468,7 +478,7 @@ def _complete(sys: SymmetricSystem, f: MomentumValue, q, qdot):
         )
     K, L = _checked_metric(sys, q)
     qdot = qdot.tolist()
-    return q, K, L, qdot + _cyclic_rates(sys, K, L, qdot, f.as_vector().tolist())
+    return q, K, L, qdot + _cyclic_rates(sys, K, L, qdot, f.xi.tolist() + f.eta.tolist())
 
 
 def _kinetic_potential(sys: SymmetricSystem, q, K, L, v: list):

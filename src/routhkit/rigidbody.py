@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ChartBoundary, GridMismatch, InvalidParams, SpanTooShort
 from .integrate import Trajectory, cumulative_quadrature
-from .reduction import BOUNDARY_TOL, TWO_PI, SymmetricSystem
+from .reduction import BOUNDARY_TOL, TWO_PI, SymmetricSystem, _real
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class RigidBodyParams:
 
     Attributes:
         A, B, C: principal moments of inertia, each positive and satisfying
-            the triangle-type physicality bounds.
+            the triangle-type physicality bounds; stored as Python floats.
         potential: optional callable (phi, theta) -> energy; independence of
             the precession angle is structural.  A potential may carry a
             ``grad`` attribute, a callable (phi, theta) -> (dV/dphi,
@@ -47,6 +47,8 @@ class RigidBodyParams:
     potential: Optional[Callable[[float, float], float]] = None
 
     def __post_init__(self):
+        for name in "ABC":
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         moments = (self.A, self.B, self.C)
         if any(not (m > 0 and math.isfinite(m)) for m in moments):
             raise InvalidParams(f"inertia moments must be positive, got {moments}")
@@ -65,7 +67,9 @@ def heavy_potential(coefficient: float) -> Callable[[float, float], float]:
     """Heavy-body potential: coefficient times the cosine of the nutation.
 
     The returned callable carries its closed-form gradient as ``grad``.
+    The coefficient is taken as a Python float.
     """
+    coefficient = _real(coefficient, "coefficient")
 
     def v0(phi: float, theta: float) -> float:
         return coefficient * math.cos(theta)

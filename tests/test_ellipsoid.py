@@ -426,6 +426,24 @@ def test_dsigma_length_is_the_uniform_rotation_length(body, h):
         assert dsigma_length(p, cd, orbits[plane]) == pytest.approx(expected, rel=1e-10)
 
 
+def test_dsigma_length_with_a_potential_is_the_jacobi_metric_length(triaxial):
+    # with V set, the length element is sqrt(a (h - V)) |du|; its line
+    # integral around the z-section ellipse is the oracle (the free metric
+    # sqrt(h a) |du| would give 10.8828 here)
+    h, c = 1.0, 0.3
+    cd = ConformalData(h=h, potential=lambda u: c * u[0] ** 2,
+                       potential_grad=lambda u: np.array([2.0 * c * u[0], 0.0, 0.0]))
+    orbit = principal_section_orbits(triaxial, cd)["z"]
+    alpha = np.linspace(0.0, 2.0 * np.pi, 20_001)
+    u = np.zeros((alpha.size, 3))
+    u[:, 0] = np.cos(alpha) / np.sqrt(triaxial.A)
+    u[:, 1] = np.sin(alpha) / np.sqrt(triaxial.B)
+    darc = np.hypot(np.sin(alpha) / np.sqrt(triaxial.A), np.cos(alpha) / np.sqrt(triaxial.B))
+    speed = np.sqrt(_factor_unchecked(triaxial, u) * (h - c * u[:, 0] ** 2))
+    expected = cumulative_quadrature(alpha, speed * darc)[-1]
+    assert dsigma_length(triaxial, cd, orbit) == pytest.approx(expected, rel=1e-8)
+
+
 def test_sections_refine_perturbed_period_guess(triaxial):
     # Newton polishes a detuned period guess back to a closed orbit
     from routhkit.integrate import shoot_periodic, propagate

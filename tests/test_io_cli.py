@@ -301,6 +301,19 @@ def test_cli_malformed_config_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("inertia, message", [
+    ([-1.0, 2.0, 3.0], "inertia moments must be positive, got (-1.0, 2.0, 3.0)"),
+    ([1.0, 1.0, 5.0], "inertia moments (1.0, 1.0, 5.0) violate the triangle inequality"),
+], ids=["negative", "triangle"])
+def test_cli_inertia_errors_print_plain_floats(tmp_path, capsys, inertia, message):
+    cfg_path = write_config(tmp_path, base_config(inertia=inertia))
+    assert main(["simulate-reduced", "--config", cfg_path,
+                 "--output", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "np.float64" not in err
+
+
 def test_cli_pole_approach_exit_3(tmp_path, capsys):
     cfg = base_config()
     # free fall of the nutation angle straight into the chart pole

@@ -6,12 +6,14 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routhkit import (
     ChartBoundary,
     ConformalData,
+    IntegratorConfig,
     MomentumValue,
     NotPositiveDefinite,
     ReducedState,
@@ -31,6 +33,8 @@ from routhkit import (
     symplectic_det_pair,
 )
 from routhkit import reduction
+from routhkit.config import build_params, build_system, load_config
+from routhkit.ellipsoid import _flow_rhs
 from routhkit.integrate import full_rhs
 from routhkit.reduction import evaluate_metric, gradient, metric_grad, potential_grad
 from routhkit.verify import random_system
@@ -423,3 +427,75 @@ def test_rigid_body_rhs_makes_no_linalg_calls(triaxial_system, zero_momentum, ge
     assert (len(calls), linalg_calls) == (1, [])
     full_rhs(counted_sys)(s0)
     assert (len(calls), linalg_calls) == (2, [])
+
+
+# ---------------------------------------------------------------------------
+# The float boundary: the parameter dataclasses store Python floats, so the
+# kernels never run on NumPy scalars.  ``numpy.float64`` subclasses ``float``,
+# hence ``type(x) is float`` rather than ``isinstance``.
+
+
+def _all_float(values) -> bool:
+    return all(type(x) is float for x in values)
+
+
+def _bits(values) -> list:
+    return [float.hex(float(x)) for x in values]
+
+
+def _rigid_body_rhs(sys, r0):
+    """The reduced and the full right-hand side at r0, at zero momentum."""
+    f0 = MomentumValue.zero(0, 1)
+    s0 = complete_state(sys, f0, r0).to_vector().tolist()
+    return (reduced_vector_field(sys, f0)(r0.to_vector().tolist())
+            + full_rhs(sys)(s0))
+
+
+def test_cli_built_rigid_body_runs_on_python_floats(tmp_path, generic_state):
+    path = tmp_path / "heavy.yaml"
+    path.write_text(yaml.safe_dump({
+        "system": "rigid-body", "inertia": [1.0, 2.0, 3.0],
+        "potential": {"kind": "heavy", "coefficient": 0.8},
+        "momentum": {"xi": [], "eta": [0.0]}, "t_end": 1.0, "dt": 0.001,
+        "initial": {"reduced": {"q": [0.7, 1.1], "qdot": [0.4, 0.15]}},
+    }))
+    cfg = load_config(str(path))
+    p = build_params(cfg)
+    assert _all_float((p.A, p.B, p.C))
+    assert _all_float(_rigid_body_rhs(build_system(cfg), generic_state))
+
+
+def test_numpy_scalar_parameters_are_stored_as_floats_with_the_same_bits(generic_state):
+    f64 = np.float64
+    p = RigidBodyParams(f64(1.0), f64(1.5), f64(2.0), potential=heavy_potential(f64(0.8)))
+    p_ref = RigidBodyParams(1.0, 1.5, 2.0, potential=heavy_potential(0.8))
+    assert _all_float((p.A, p.B, p.C))
+    grad = p.potential.grad(0.3, 1.1)
+    assert _all_float(grad) and _bits(grad) == _bits(p_ref.potential.grad(0.3, 1.1))
+
+    rhs = _rigid_body_rhs(rb_system(p), generic_state)
+    assert _all_float(rhs)
+    assert _bits(rhs) == _bits(_rigid_body_rhs(rb_system(p_ref), generic_state))
+
+    cd, cd_ref = ConformalData(h=f64(0.7)), ConformalData(h=0.7)
+    assert type(cd.h) is float
+    u = np.array([0.6, 0.4, 0.3])
+    u = u / np.sqrt(1.0 * u[0] ** 2 + 1.5 * u[1] ** 2 + 2.0 * u[2] ** 2)
+    state = u.tolist() + [0.2, -0.1, 0.05]
+    flow = _flow_rhs(p, cd)(state)
+    assert _all_float(flow) and _bits(flow) == _bits(_flow_rhs(p_ref, cd_ref)(state))
+
+    cfg = IntegratorConfig(method="rk45", dt=f64(1e-2), abs_tol=f64(1e-12), rel_tol=f64(1e-10))
+    assert _all_float((cfg.dt, cfg.abs_tol, cfg.rel_tol))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RigidBodyParams("1.0", 2.0, 3.0),
+    lambda: ConformalData(h="0.5"),
+    lambda: heavy_potential("0.8"),
+    lambda: IntegratorConfig(dt="1e-3"),
+    lambda: IntegratorConfig(method="rk45", abs_tol="1e-12"),
+], ids=["moment", "h", "coefficient", "dt", "abs_tol"])
+def test_parameters_refuse_strings(make):
+    with pytest.raises(TypeError, match="must be a real number"):
+        make()
