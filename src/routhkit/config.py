@@ -53,7 +53,7 @@ _SYSTEMS = {
                           {"none": None, "heavy": heavy_potential}, _rigid_body),
     "central-force": _System((1, 0, 1), (("r",), (), ("angle",)),
                              {"none": None, "harmonic": harmonic_radial_potential},
-                             lambda cfg: central_force_system(_potential(cfg))),
+                             lambda cfg: central_force_system(cfg.potential)),
     "custom-matrix": _System(None, None, {"none": None},
                              lambda cfg: constant_matrix_system(*_system_dims(cfg),
                                                                 cfg.custom["matrix"])),
@@ -65,14 +65,14 @@ class RunConfig:
     """Validated run settings.
 
     Initial states and cyclic start values the configuration leaves out
-    are None; ``custom`` holds the parsed ``n``, ``k``, ``l`` and
-    ``matrix`` of a custom-matrix run.
+    are None; ``potential`` is the built potential, None for kind none;
+    ``custom`` holds the parsed ``n``, ``k``, ``l`` and ``matrix`` of a
+    custom-matrix run.
     """
 
     system: str
     inertia: tuple = (1.0, 2.0, 3.0)
-    potential_kind: str = "none"
-    potential_coefficient: float = 0.0
+    potential: Optional[Callable] = None
     momentum: Optional[MomentumValue] = None
     energy_target: Optional[float] = None
     t_end: float = 10.0
@@ -188,10 +188,10 @@ def parse_config(raw: dict) -> RunConfig:
     kind = pot.get("kind", "none")
     kinds = tuple(spec.potentials)
     _require(kind in kinds, f"potential kind for {system} must be one of {kinds}, got {kind!r}")
-    cfg.potential_kind = kind
-    if kind != "none":
+    make = spec.potentials[kind]
+    if make is not None:
         _require("coefficient" in pot, f"potential kind {kind!r} needs a coefficient")
-        cfg.potential_coefficient = _as_float(pot["coefficient"], "potential.coefficient")
+        cfg.potential = make(_as_float(pot["coefficient"], "potential.coefficient"))
 
     mom = raw.get("momentum", {}) or {}
     _require(isinstance(mom, dict), "momentum must be a mapping {xi, eta}")
@@ -252,16 +252,11 @@ def _system_dims(cfg: RunConfig) -> Tuple[int, int, int]:
     return _SYSTEMS[cfg.system].dims or (cfg.custom["n"], cfg.custom["k"], cfg.custom["l"])
 
 
-def _potential(cfg: RunConfig):
-    make = _SYSTEMS[cfg.system].potentials[cfg.potential_kind]
-    return None if make is None else make(cfg.potential_coefficient)
-
-
 def build_params(cfg: RunConfig) -> RigidBodyParams:
     """Rigid-body parameters of the run; ConfigError for any other system."""
     _require(_SYSTEMS[cfg.system].build is _rigid_body,
              f"this command runs on the rigid-body system, not {cfg.system}")
-    return RigidBodyParams(*cfg.inertia, potential=_potential(cfg))
+    return RigidBodyParams(*cfg.inertia, potential=cfg.potential)
 
 
 def build_system(cfg: RunConfig) -> SymmetricSystem:

@@ -291,15 +291,11 @@ def constrained_flow(p: RigidBodyParams, cd: ConformalData, s0: EllipsoidState,
     in rescaled time (default), conserving T + a (V - h) = 0, or with
     ``physical_time`` in the original time, conserving a T + V = h."""
     project = _flow_project(p)
-    start = project(s0.to_vector())
+    start = project(s0.to_vector().tolist())
     traj = integrate_ode(_flow_rhs(p, cd, physical_time), start, t0, t1, cfg,
                          project=project)
     traj.meta = TrajectoryMeta(system="ellipsoid", energy0=cd.h)
     return traj
-
-
-def _speed_unchecked(p: RigidBodyParams, h: float, u, udot):
-    return np.sqrt(h * _factor_unchecked(p, u)) * np.linalg.norm(udot, axis=-1)
 
 
 def maupertuis_speed(p: RigidBodyParams, h: float, s: EllipsoidState) -> float:
@@ -310,7 +306,7 @@ def maupertuis_speed(p: RigidBodyParams, h: float, s: EllipsoidState) -> float:
     without building surface Christoffel symbols.
     """
     _require_on_surface(p, s.u)
-    return float(_speed_unchecked(p, h, s.u, s.udot))
+    return float(np.sqrt(h * _factor_unchecked(p, s.u)) * np.linalg.norm(s.udot, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +410,7 @@ def principal_section_orbits(p: RigidBodyParams, cd: ConformalData) -> Dict[str,
     project = _flow_project(p)
 
     def flow(state: np.ndarray, T: float) -> np.ndarray:
-        return propagate(rhs, project(state), 0.0, T, _SHOOT_CFG, project=project)
+        return propagate(rhs, project(state.tolist()), 0.0, T, _SHOOT_CFG, project=project)
 
     orbits: Dict[str, PeriodicOrbit] = {}
     for plane in ("x", "y", "z"):

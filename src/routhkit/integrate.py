@@ -32,7 +32,7 @@ from .reduction import (
     _reduced_accel,
     accel,
     energy_full,
-    fd_step,
+    gradient,
     momentum_map,
     reduced_energy,
     solve_cyclic,
@@ -216,7 +216,10 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
         raise ValueError(f"integration span [{t0:.6g}, {t1:.6g}] must be finite")
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
-    k1 = rhs(y)
+    try:
+        k1 = rhs(y)
+    except OverflowError:
+        k1 = [math.inf]
     if not _finite(k1):
         raise StepFailure("non-finite derivative at the initial state")
 
@@ -270,7 +273,10 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
             k1 = k_last  # first-same-as-last
             if project is not None:
                 y = project(y)
-                k1 = rhs(y)
+                try:
+                    k1 = rhs(y)
+                except OverflowError:
+                    raise StepFailure(f"non-finite derivative at t={t:.6g}") from None
             times.append(t)
             states.append(y)
             steps += 1
@@ -525,10 +531,10 @@ def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
     Solves flow(s, T) = s for the unknown vector z = (s, T), with one phase
     condition pinning coordinate ``phase_index`` of the state to its
     initial value; the least-squares step handles the neutral directions
-    of orbit families.  One forward-difference Jacobian, each column
-    stepped by ``reduction.fd_step``, is built at the start and kept
-    current by Broyden's rank-one update after each accepted damped step;
-    it is rebuilt only when the line search stalls on an updated Jacobian.
+    of orbit families.  One forward-difference Jacobian
+    (``reduction.gradient``) is built at the start and kept current by
+    Broyden's rank-one update after each accepted damped step; it is
+    rebuilt only when the line search stalls on an updated Jacobian.
     Trial periods must exceed 1e-6 |T_guess|.  Once the closure is within
     ``tol``, one more undamped step is taken and kept only if it lowers
     the closure.  An input that is already periodic to tolerance is
@@ -559,16 +565,8 @@ def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
     if closure <= tol:
         return PeriodicOrbit(initial_state=z[:-1], period=float(z[-1]), closure_error=closure)
 
-    def fd_jacobian(z, r):
-        J = np.empty((z.size, z.size))
-        for j in range(z.size):
-            h = fd_step(z[j])
-            zp = z.copy()
-            zp[j] += h
-            J[:, j] = (residual(zp) - r) / h
-        return J
-
-    J = fd_jacobian(z, r)
+    # forward differences: d + 1 propagations; rows are residual components
+    J = gradient(residual, z, r).T.copy()
     jacobians, fresh = 1, True
     history = []
     while len(history) < _SHOOT_MAX_ITER:
@@ -589,7 +587,7 @@ def shoot_periodic(flow: Callable[[np.ndarray, float], np.ndarray], guess,
                 raise NoConvergence(
                     f"shooting stalled at closure error {closure:.3e} (tol {tol:.1e})"
                 )
-            J = fd_jacobian(z, r)
+            J = gradient(residual, z, r).T.copy()
             jacobians, fresh = jacobians + 1, True
             continue
         # Broyden: the secant condition J dx = dr along the step just taken

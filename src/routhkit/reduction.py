@@ -555,13 +555,13 @@ def reduced_mass_matrix(sys: SymmetricSystem, q) -> np.ndarray:
     return Kqq - Kqc @ np.linalg.solve(D, Kqc.T)
 
 
-def fd_step(value: float) -> float:
-    """Finite-difference step for first derivatives: max(1e-6, 1e-6 |value|)."""
-    return max(1e-6, 1e-6 * abs(value))
+def gradient(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+             fx=None) -> np.ndarray:
+    """Finite-difference derivative of fn along each coordinate of x.
 
-
-def gradient(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Central-difference derivative of fn along each coordinate of x.
+    Central differences, or forward differences when the caller passes
+    ``fx = fn(x)``: one evaluation per coordinate instead of two.  The
+    step along coordinate j is max(1e-6, 1e-6 |x_j|).
 
     Returns an array of shape (x.size,) + shape of fn(x): the gradient of
     a scalar function, or the stacked partial derivatives of a matrix one.
@@ -569,10 +569,13 @@ def gradient(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarra
     x = np.asarray(x, dtype=float)
     out = []
     for j in range(x.size):
-        h = fd_step(x[j])
+        h = max(1e-6, 1e-6 * abs(x[j]))
         xp = x.copy()
-        xm = x.copy()
         xp[j] += h
+        if fx is not None:
+            out.append((fn(xp) - fx) / h)
+            continue
+        xm = x.copy()
         xm[j] -= h
         out.append((fn(xp) - fn(xm)) / (2.0 * h))
     return np.array(out, dtype=float)

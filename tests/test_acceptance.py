@@ -18,9 +18,11 @@ from routhkit import (
     integrate_full,
     integrate_ode,
     integrate_reduced,
+    mass_matrix_blocks,
     principal_section_orbits,
     reconstruct,
 )
+from routhkit import verify
 from routhkit.verify import (
     closed_form_lagrangian_check,
     determinant_identity_check,
@@ -80,9 +82,18 @@ def test_criterion_3_zero_momentum_degeneration(triaxial_params):
     ok = _report(
         "criterion 3 zero-momentum degeneration",
         res_a.passed and res_b.passed,
-        f"Routhian vs Lagrangian {res_a.value:.3e} <= 1e-12; "
+        f"Routhian vs Schur-complement Lagrangian {res_a.value:.3e} <= 1e-12; "
         f"closed chart form {res_b.value:.3e} <= 1e-10")
     assert ok
+
+
+def test_degeneration_check_fails_without_the_schur_term(monkeypatch, triaxial_params):
+    # the right side's reduced mass matrix without its cyclic correction is
+    # the shape block of K alone, which is not the Routhian's kinetic term
+    monkeypatch.setattr(verify, "reduced_mass_matrix",
+                        lambda sys, q: mass_matrix_blocks(sys, q)[0])
+    res = zero_momentum_degeneration_check(triaxial_params)
+    assert not res.passed and res.value > 0.1
 
 
 def test_criterion_4_projection_equivalence(triaxial_system, zero_momentum,

@@ -39,6 +39,7 @@ from routhkit.ellipsoid import (
     _flow_rhs,
     constraint_gradient,
 )
+from routhkit import ellipsoid as ellipsoid_module
 from routhkit import integrate as integ
 from routhkit import verify
 from routhkit.verify import run_kolosov
@@ -498,6 +499,49 @@ def test_flow_match_covers_the_whole_window():
                              dt=1e-2, energy_target=20.0)
     assert image.times[-1] >= rep["window"]
     assert all(c["passed"] for c in rep["checks"])
+
+
+@pytest.mark.parametrize("moments", [(1.0, 2.0, 3.0), (1.0, 1.5, 2.0), (2.0, 3.0, 4.5),
+                                     (1.0, 1.0 + 1e-7, 2.0)])
+@pytest.mark.parametrize("h", [0.5, 19.49])
+def test_section_periods_have_their_closed_form(moments, h):
+    # section i is the uniform rotation about axis i: physical period
+    # 2 pi sqrt(I_i / 2h), and 1/a(u) averages (I_j + I_k) / 2ABC along it
+    orbits = principal_section_orbits(RigidBodyParams(*moments), ConformalData(h=h))
+    abc = moments[0] * moments[1] * moments[2]
+    for i, plane in enumerate("xyz"):
+        T = (2.0 * np.pi * np.sqrt(moments[i] / (2.0 * h))
+             * (sum(moments) - moments[i]) / (2.0 * abc))
+        assert abs(orbits[plane].period - T) <= 1e-13 * T
+
+
+@pytest.mark.parametrize("moments", [(2.0, 3.0, 4.5), (1.0, 1.0 + 1e-7, 2.0)],
+                         ids=["Tx=Tz", "nearly-axisymmetric"])
+def test_kolosov_passes_where_two_section_periods_coincide(moments):
+    # 2 * 7.5^2 = 4.5 * 5^2 makes T_x = T_z on the first body; on the second
+    # T_x and T_y differ by ~1e-8.  Such pairs are checked against the
+    # closed-form gap, the other pairs for distinctness
+    rep, _ = run_kolosov(RigidBodyParams(*moments), ReducedState(q=[0.7, 1.1], qdot=[0.4, 0.15]),
+                         dt=1e-2, energy_target=20.0)
+    assert rep["all_passed"] is True
+    assert check(rep, "section-periods-distinct")["value"] > 1e-3
+    assert check(rep, "section-periods-equal")["value"] <= 1e-12
+
+
+def test_projection_is_handed_python_floats(monkeypatch, triaxial_params, generic_state):
+    project = ellipsoid_module._project
+    seen = set()
+
+    def recording(p, state):
+        seen.update(type(v) for v in state)
+        return project(p, state)
+
+    monkeypatch.setattr(ellipsoid_module, "_project", recording)
+    run_kolosov(triaxial_params, generic_state, dt=1e-2, energy_target=20.0)
+    start = EllipsoidState(kolosov_map(triaxial_params, 0.7, 1.1), [0.1, 0.2, -0.3])
+    constrained_flow(triaxial_params, ConformalData(h=0.5), start, 0.0, 0.5,
+                     IntegratorConfig(method="rk4", dt=1e-2))
+    assert seen == {float}
 
 
 def test_equatorial_results_do_not_depend_on_dt(triaxial_params, triaxial_system,

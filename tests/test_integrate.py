@@ -184,6 +184,22 @@ def test_float_overflow_raises_step_failure(run):
         run()
 
 
+def square_rhs(y):
+    return [y[0] ** 2]
+
+
+@pytest.mark.parametrize("run", [
+    lambda: integrate_ode(square_rhs, [1e200], 0.0, 1.0, IntegratorConfig(method="rk4")),
+    lambda: integrate_ode(square_rhs, [1e200], 0.0, 1.0, IntegratorConfig(method="rk45")),
+    # the first step is accepted; the derivative at the projected state overflows
+    lambda: integrate_ode(square_rhs, [1.0], 0.0, 1.0, IntegratorConfig(method="rk45"),
+                          project=lambda y: [1e200]),
+], ids=["rk4-initial", "rk45-initial", "rk45-after-projection"])
+def test_overflowing_derivative_raises_step_failure(run):
+    with pytest.raises(StepFailure, match="non-finite derivative"):
+        run()
+
+
 def test_config_validation():
     # each message begins with the field at fault; the config loader relies on it
     with pytest.raises(ValueError, match="^method "):

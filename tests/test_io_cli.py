@@ -76,7 +76,10 @@ def test_csv_round_trip_bit_exact(tmp_path, rng):
     older = tmp_path / "older.csv"
     text = (tmp_path / "traj.csv").read_text()
     older.write_text(text.replace("\n", '\n# chart = "primary"\n', 1))
-    for source in (path, str(older)):
+    # a comment line without "=" is not metadata and is skipped
+    commented = tmp_path / "commented.csv"
+    commented.write_text("# written by hand\n#\n" + text)
+    for source in (path, str(older), str(commented)):
         back, labels = read_trajectory_csv(source)
         assert labels == ["a", "b", "c", "d"]
         assert np.array_equal(back.times, traj.times)
@@ -630,8 +633,8 @@ def test_cli_kolosov_sphere_periods_equal(tmp_path, capsys):
 @pytest.mark.parametrize("inertia, equal", [([1.0, 1.0, 1.5], "xy"), ([1.0, 1.5, 1.5], "yz")],
                          ids=["A=B", "B=C"])
 def test_cli_kolosov_axisymmetric_body(tmp_path, capsys, inertia, equal):
-    # with exactly two equal moments no section-period check is made; the
-    # two equal-moment sections are congruent and share one period
+    # with exactly two equal moments the equal-moment sections are congruent
+    # and share one period in closed form, and the third differs from both
     cfg_path = write_config(tmp_path, base_config(inertia=inertia, energy_target=20.0, dt=0.01))
     report_path = str(tmp_path / "kolosov.json")
     assert main(["kolosov", "--config", cfg_path, "--output", str(tmp_path / "ell.csv"),
@@ -640,7 +643,8 @@ def test_cli_kolosov_axisymmetric_body(tmp_path, capsys, inertia, equal):
     with open(report_path) as handle:
         report = json.load(handle)
     assert all(c["passed"] for c in report["checks"])
-    assert not any(c["name"].startswith("section-periods") for c in report["checks"])
+    names = [c["name"] for c in report["checks"] if c["name"].startswith("section-periods")]
+    assert names == ["section-periods-distinct", "section-periods-equal"]
     first, second = (report["sections"][plane]["period"] for plane in equal)
     assert abs(first - second) <= 1e-8
     jsonschema = pytest.importorskip("jsonschema")

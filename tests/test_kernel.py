@@ -256,6 +256,28 @@ def test_potential_grad_shape_is_checked(triaxial_system, zero_momentum, generic
         reduced_vector_field(bad, zero_momentum)(generic_state.to_vector())
 
 
+def test_potential_grad_as_an_array_gives_the_tuple_bits(rng):
+    # the documented (n,) array form of potential_grad runs the same force
+    sys = rb_system(RigidBodyParams(1.0, 1.5, 2.0, potential=heavy_potential(0.8)))
+    as_array = replace(sys, potential_grad=lambda q: np.array(sys.potential_grad(q)))
+    f0 = MomentumValue.zero(0, 1)
+    for q in chart_states(rng, sys, 10):
+        y = [*q, *rng.normal(size=2)]
+        assert reduced_vector_field(as_array, f0)(y) == reduced_vector_field(sys, f0)(y)
+
+
+def test_gradient_takes_forward_differences_given_the_value():
+    def cubic(v):
+        return v * v * v
+
+    x = np.array([0.5, -2.0, 3e7])
+    h = np.maximum(1e-6, 1e-6 * np.abs(x))
+    forward = gradient(cubic, x, cubic(x))
+    assert np.array_equal(np.diag(forward), (cubic(x + h) - cubic(x)) / h)
+    central = gradient(cubic, x)
+    assert np.array_equal(np.diag(central), (cubic(x + h) - cubic(x - h)) / (2.0 * h))
+
+
 def test_potential_without_closed_gradient_is_differenced():
     sys = rb_system(RigidBodyParams(1.0, 2.0, 3.0, potential=lambda phi, theta: theta ** 2))
     assert sys.potential_grad is None
