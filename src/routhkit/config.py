@@ -102,9 +102,9 @@ def _as_floats(value, name: str, ndim: int = 1) -> np.ndarray:
 
 
 def _as_float(value, name: str) -> float:
-    """One finite number: the scalar twin of ``_as_floats``."""
+    """One finite number, not a list: the scalar twin of ``_as_floats``."""
     arr = _as_floats(value, name)
-    _require(arr.size == 1, f"{name} must be one number, got {value!r}")
+    _require(arr.size == 1 and np.ndim(value) == 0, f"{name} must be one number, got {value!r}")
     return float(arr[0])
 
 
@@ -171,8 +171,6 @@ def parse_config(raw: dict) -> RunConfig:
                  f"{system} needs a custom: mapping with n, k, l and matrix")
         cfg.custom = {"matrix": _as_floats(custom["matrix"], "custom.matrix", ndim=2)}
         for key, least in (("n", 1), ("k", 0), ("l", 0)):
-            _require(np.asarray(custom[key], dtype=object).ndim == 0,
-                     f"custom.{key} must be one whole number, got {custom[key]!r}")
             cfg.custom[key] = _as_whole(custom[key], f"custom.{key}", least)
         d = cfg.custom["n"] + cfg.custom["k"] + cfg.custom["l"]
         shape = cfg.custom["matrix"].shape

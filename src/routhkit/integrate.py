@@ -169,21 +169,22 @@ def _dp_step(rhs, y, h: float, k1):
     return y5, err, k7
 
 
-def _finite(y) -> bool:
-    return all(map(math.isfinite, y))
+def _checked(fn, *args):
+    """``fn(*args)``, or None when the call raises ArithmeticError (Python
+    floats raise OverflowError and ZeroDivisionError where arrays give inf
+    and nan) or its state is not finite.  A ``_dp_step`` trial's state is
+    y5; its error vector and last stage are left to the error norm."""
+    try:
+        out = fn(*args)
+    except ArithmeticError:
+        return None
+    return out if all(map(math.isfinite, out[0] if fn is _dp_step else out)) else None
 
 
 def _rk4_advance(rhs, y, h: float, project):
-    """One RK4 step, projected when ``project`` is given; None when the
-    state is not finite or the float arithmetic overflowed (a Python float
-    power raises OverflowError where an array would give inf)."""
-    try:
-        y = _rk4_step(rhs, y, h)
-        if project is not None:
-            y = project(y)
-    except OverflowError:
-        return None
-    return y if _finite(y) else None
+    """One RK4 step, projected when ``project`` is given."""
+    y = _rk4_step(rhs, y, h)
+    return y if project is None else project(y)
 
 
 def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: float,
@@ -206,8 +207,8 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
     Raises:
         ValueError: the span is not finite (t0 or t1 infinite or nan), or
             t1 <= t0; raised before ``rhs`` is evaluated.
-        StepFailure: step size underflow, or a non-finite (or overflowing)
-            derivative or state.
+        StepFailure: step size underflow (also a span too short to step); a
+            derivative, state or error estimate not finite; ArithmeticError.
         MaxStepsExceeded: step budget exhausted.
     """
     y = np.asarray(s0, dtype=float).tolist()
@@ -216,11 +217,8 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
         raise ValueError(f"integration span [{t0:.6g}, {t1:.6g}] must be finite")
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
-    try:
-        k1 = rhs(y)
-    except OverflowError:
-        k1 = [math.inf]
-    if not _finite(k1):
+    k1 = _checked(rhs, y)
+    if k1 is None:
         raise StepFailure("non-finite derivative at the initial state")
 
     if cfg.method == "rk4":
@@ -234,7 +232,7 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
         states = np.empty((n_steps + 1, len(y)))
         states[0] = y
         for i in range(n_steps):
-            y = _rk4_advance(rhs, y, h, project)
+            y = _checked(_rk4_advance, rhs, y, h, project)
             if y is None:
                 raise StepFailure(f"non-finite state at t={times[i + 1]:.6g}")
             states[i + 1] = y
@@ -243,24 +241,22 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
     # rk45
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     t = t0
-    h = float(min(cfg.dt, t1 - t0))
+    h = min(cfg.dt, t1 - t0)
     times = [t0]
     states = [y]
-    steps = 0
     h_min = 1e-14 * max(1.0, abs(t1 - t0))
-    while t < t1 - 1e-14 * max(1.0, abs(t1)):
-        if steps >= cfg.max_steps:
+    t_stop = t1 - 1e-14 * max(1.0, abs(t1))
+    # a span inside the end slack still takes one step, or underflows
+    while t < t_stop or len(times) == 1:
+        if len(times) > cfg.max_steps:
             raise MaxStepsExceeded(f"exceeded max_steps={cfg.max_steps}")
         h = min(h, t1 - t)
         if h < h_min:
             raise StepFailure(f"step size underflow at t={t:.6g}")
-        try:
-            y_new, err, k_last = _dp_step(rhs, y, h, k1)
-            finite = _finite(y_new)
-        except OverflowError:
-            finite = False
-        if not finite:
+        trial = _checked(_dp_step, rhs, y, h, k1)
+        if trial is None:
             raise StepFailure(f"non-finite state at t={t:.6g}")
+        y_new, err, k_last = trial
         # RMS norm of the error against atol + rtol * max(|y|, |y_new|)
         acc = 0.0
         for a, b, e in zip(y, y_new, err):
@@ -272,14 +268,17 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
             y = y_new
             k1 = k_last  # first-same-as-last
             if project is not None:
-                y = project(y)
-                try:
-                    k1 = rhs(y)
-                except OverflowError:
-                    raise StepFailure(f"non-finite derivative at t={t:.6g}") from None
+                y = _checked(project, y)
+                if y is None:
+                    raise StepFailure(f"non-finite state at t={t:.6g}")
+                k1 = _checked(rhs, y)
+                if k1 is None:
+                    raise StepFailure(f"non-finite derivative at t={t:.6g}")
             times.append(t)
             states.append(y)
-            steps += 1
+        elif err_norm != err_norm:
+            # NaN: a stage is not finite, and a rejection would retry the same trial
+            raise StepFailure(f"non-finite derivative at t={t + h:.6g}")
         factor = 0.9 * (err_norm ** -0.2 if err_norm > 0 else 5.0)
         h = h * min(5.0, max(0.2, factor))
     return Trajectory(times=np.asarray(times), states=np.asarray(states))
@@ -305,7 +304,7 @@ def integrate_grid(rhs, s0, grid, dt: float, project=None) -> np.ndarray:
     Raises:
         ValueError: ``grid`` breaks the ``cumulative_quadrature`` grid
             contract, or ``dt`` is not finite and positive.
-        StepFailure: a substep produced a non-finite (or overflowing) state.
+        StepFailure: a substep's state is not finite or raised ArithmeticError.
     """
     ts = _grid(grid).tolist()
     if not 0.0 < dt < math.inf:
@@ -318,7 +317,7 @@ def integrate_grid(rhs, s0, grid, dt: float, project=None) -> np.ndarray:
         n_sub = max(1, int(math.ceil(seg / dt - 1e-12)))
         h = seg / n_sub
         for j in range(n_sub):
-            y = _rk4_advance(rhs, y, h, project)
+            y = _checked(_rk4_advance, rhs, y, h, project)
             if y is None:
                 raise StepFailure(f"non-finite state at t={ts[i] + (j + 1) * h:.6g}")
         out[i + 1] = y

@@ -22,8 +22,9 @@ from routhkit import (
     principal_section_orbits,
     reconstruct,
 )
-from routhkit import verify
+from routhkit import reduction, verify
 from routhkit.verify import (
+    asymmetric_rejection_check,
     closed_form_lagrangian_check,
     determinant_identity_check,
     energy_drift,
@@ -94,6 +95,14 @@ def test_degeneration_check_fails_without_the_schur_term(monkeypatch, triaxial_p
                         lambda sys, q: mass_matrix_blocks(sys, q)[0])
     res = zero_momentum_degeneration_check(triaxial_params)
     assert not res.passed and res.value > 0.1
+
+
+def test_asymmetric_rejection_check_fails_without_the_rejection(monkeypatch):
+    # at a symmetry tolerance of 1 the injected defect 0.2 of the 2x2 matrix
+    # passes, and the matrix is positive definite, so nothing is rejected
+    monkeypatch.setattr(reduction, "SYMMETRY_TOL", 1.0)
+    res = asymmetric_rejection_check()
+    assert (res.passed, res.value) == (False, 1.0)
 
 
 def test_criterion_4_projection_equivalence(triaxial_system, zero_momentum,

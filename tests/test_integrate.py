@@ -33,7 +33,7 @@ from routhkit import (
     reparametrize_time,
     shoot_periodic,
 )
-from routhkit.integrate import _rk4_step
+from routhkit.integrate import _SHOOT_MAX_ITER, _dp_step, _rk4_step
 
 OSC_CFG = IntegratorConfig(method="rk4", dt=1e-3)
 TWO_PI = 2.0 * np.pi
@@ -198,6 +198,50 @@ def square_rhs(y):
 def test_overflowing_derivative_raises_step_failure(run):
     with pytest.raises(StepFailure, match="non-finite derivative"):
         run()
+
+
+def test_rk45_refuses_a_projected_state_not_finite():
+    # the one step is accepted and its projection is the state that would be kept
+    with pytest.raises(StepFailure, match="non-finite state"):
+        integrate_ode(lambda y: [1.0], [0.0], 0.0, 1e-3, IntegratorConfig(method="rk45"),
+                      project=lambda y: [np.nan])
+
+
+def test_rk45_nan_last_stage_raises_instead_of_retrying():
+    # the trial state y5 is finite but the derivative there is NaN, so the
+    # error norm is NaN; rejecting the trial would repeat it without end
+    y5 = _dp_step(lambda y: [y[0]], [1.0], 1.0, [1.0])[0][0]
+    calls = [0]
+
+    def rhs(y):
+        calls[0] += 1
+        if calls[0] > 10_000:
+            raise RuntimeError("rhs call budget spent: the stepper repeats its trial")
+        return [np.nan] if y[0] == y5 else [y[0]]
+
+    with pytest.raises(StepFailure, match="non-finite derivative"):
+        integrate_ode(rhs, [1.0], 0.0, 1.0, IntegratorConfig(method="rk45", dt=1.0))
+
+
+def reciprocal_rhs(y):
+    # Python float division raises ZeroDivisionError where numpy gives inf
+    return [1.0 / y[0]]
+
+
+@pytest.mark.parametrize("run", [
+    lambda: integrate_ode(reciprocal_rhs, [0.0], 0.0, 1.0, IntegratorConfig(method="rk4")),
+    lambda: integrate_ode(reciprocal_rhs, [0.0], 0.0, 1.0, IntegratorConfig(method="rk45")),
+    lambda: integrate_grid(reciprocal_rhs, [0.0], [0.0, 0.1], 0.01),
+], ids=["rk4", "rk45", "integrate_grid"])
+def test_zero_division_raises_step_failure(run):
+    with pytest.raises(StepFailure, match="non-finite"):
+        run()
+
+
+def test_rk45_span_too_short_to_step_raises_step_failure():
+    # 1e-15 lies inside the end slack of the step loop, 1e-14 * max(1, |t1|)
+    with pytest.raises(StepFailure, match="step size underflow"):
+        integrate_ode(lambda y: [1.0], [0.0], 0.0, 1e-15, IntegratorConfig(method="rk45"))
 
 
 def test_config_validation():
@@ -554,6 +598,13 @@ def test_shoot_no_orbit_raises():
         return s + T
     with pytest.raises(NoConvergence):
         shoot_periodic(drift_flow, [0.0], 1.0)
+
+
+def test_shoot_gives_up_after_its_step_budget():
+    # every damped step lowers the closure 1e6 exp(-T), but after
+    # _SHOOT_MAX_ITER of them it is still near 8.7e-3, far above tol
+    with pytest.raises(NoConvergence, match=f"in {_SHOOT_MAX_ITER} iterations"):
+        shoot_periodic(lambda s, T: s + 1e6 * np.exp(-T), [0.0], 1.0)
 
 
 def test_shoot_rebuilds_jacobian_when_broyden_stalls():

@@ -493,14 +493,16 @@ def test_config_rejects_non_numeric_scalars(tmp_path, capsys, overrides, key):
 @pytest.mark.parametrize("overrides, key", [
     ({"dt": True}, "dt"),
     ({"t_end": [[2.0]]}, "t_end"),
+    ({"t_end": [2.0]}, "t_end"),
+    ({"integrator": {"method": "rk4", "max_steps": [5]}}, "integrator.max_steps"),
     ({"momentum": {"xi": [], "eta": [False]}}, "momentum.eta"),
     ({"integrator": {"method": "rk4", "max_steps": 2.5}}, "integrator.max_steps"),
     ({"integrator": {"method": "rk4", "max_steps": 0.5}}, "integrator.max_steps"),
     (custom_config(n=[1]), "custom.n"),
     (custom_config(n=1.5), "custom.n"),
     (custom_config(n=True), "custom.n"),
-], ids=["dt-bool", "t_end-nested", "eta-bool", "max_steps-2.5", "max_steps-0.5",
-        "custom-n-list", "custom-n-1.5", "custom-n-bool"])
+], ids=["dt-bool", "t_end-nested", "t_end-list", "max_steps-list", "eta-bool",
+        "max_steps-2.5", "max_steps-0.5", "custom-n-list", "custom-n-1.5", "custom-n-bool"])
 def test_config_rejects_booleans_nested_lists_and_fractional_steps(tmp_path, capsys,
                                                                    overrides, key):
     cfg = base_config(**overrides)
@@ -599,6 +601,13 @@ def test_cli_kolosov_energy_target_on_zero_velocity_seed_exit_2(tmp_path, capsys
     cfg_path = write_config(tmp_path, cfg)
     assert main(["kolosov", "--config", cfg_path]) == 2
     assert "seed energy" in capsys.readouterr().err
+
+
+def test_cli_kolosov_energy_too_high_to_step_exit_5(tmp_path, capsys):
+    # at h = 1e40 the section periods fall below the DP45 end slack
+    cfg_path = write_config(tmp_path, base_config(energy_target=1.0e40))
+    assert main(["kolosov", "--config", cfg_path, "--output", str(tmp_path / "ell.csv")]) == 5
+    assert "error: step size underflow" in capsys.readouterr().err
 
 
 def test_cli_dt_override_changes_grid(tmp_path, capsys):
