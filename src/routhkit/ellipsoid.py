@@ -320,7 +320,8 @@ _SECTION_PLANE = {"z": (0, 1), "y": (0, 2), "x": (1, 2)}
 # Chart points per angle of the grid on which max V is sampled.
 _POTENTIAL_GRID = 64
 
-# Adaptive flow of the periodic-orbit shooting and the section closure tolerance.
+# Adaptive flow of the periodic-orbit shooting and the section closure tolerance,
+# scaled by max(1, max |seed|) since the seed velocities grow as sqrt(h).
 _SHOOT_CFG = IntegratorConfig(method="rk45", dt=1e-2, abs_tol=1e-12, rel_tol=1e-12)
 _SECTION_TOL = 1e-8
 
@@ -419,8 +420,8 @@ def principal_section_orbits(p: RigidBodyParams, cd: ConformalData) -> Dict[str,
         # energy of the orbit family while least squares absorbs the
         # time-shift direction
         phase_index = 3 + int(np.argmax(np.abs(seed[3:])))
-        orbits[plane] = shoot_periodic(flow, seed, T_guess, tol=_SECTION_TOL,
-                                       phase_index=phase_index)
+        tol = _SECTION_TOL * max(1.0, float(np.max(np.abs(seed))))
+        orbits[plane] = shoot_periodic(flow, seed, T_guess, tol=tol, phase_index=phase_index)
     return orbits
 
 

@@ -696,27 +696,22 @@ def shape_momentum(sys: SymmetricSystem, f: MomentumValue, q, qdot) -> np.ndarra
 def symplectic_det_pair(sys: SymmetricSystem, f: MomentumValue, r: ReducedState):
     """Two independent evaluations of the reduced symplectic determinant.
 
-    The left side assembles the 2n x 2n coordinate matrix of the reduced
-    symplectic form from central finite differences (``gradient``) of the
-    shape momentum covector, the constrained derivative rule applied
-    numerically; the right side is (det K / det D)^2 from plain block
+    In (q, qdot) the reduced form is [[A - A^T, B], [-B^T, 0]], with A and
+    B the q- and qdot-derivatives of the shape momentum P; swapping its
+    column blocks shows its determinant is det(B)^2 whatever A is.  The left
+    side is det(B)^2 from forward differences (``gradient``) of P, which is
+    affine in qdot; the right side is (det K / det D)^2 from plain block
     determinants.
 
     Returns:
         (lhs, rhs): both scalars; they agree to 1e-5 relative on interior
         states.
     """
-    n = sys.n
     q, qdot = r.q, r.qdot
-    A = gradient(lambda p: shape_momentum(sys, f, p, qdot), q).T     # dP_a / dq_b
-    B = gradient(lambda u: shape_momentum(sys, f, q, u), qdot).T     # dP_a / dqdot_b
-
-    omega = np.zeros((2 * n, 2 * n))
-    omega[:n, :n] = A - A.T
-    omega[:n, n:] = B
-    omega[n:, :n] = -B.T
-    lhs = float(np.linalg.det(omega))
+    B = gradient(lambda u: shape_momentum(sys, f, q, u), qdot,
+                 shape_momentum(sys, f, q, qdot))    # row b: dP / dqdot_b
+    lhs = float(np.linalg.det(B)) ** 2
 
     K = evaluate_metric(sys, q)
-    rhs = (float(np.linalg.det(K)) / float(np.linalg.det(K[n:, n:]))) ** 2
+    rhs = (float(np.linalg.det(K)) / float(np.linalg.det(K[sys.n:, sys.n:]))) ** 2
     return lhs, rhs

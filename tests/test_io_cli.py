@@ -610,6 +610,33 @@ def test_cli_kolosov_energy_too_high_to_step_exit_5(tmp_path, capsys):
     assert "error: step size underflow" in capsys.readouterr().err
 
 
+def test_cli_kolosov_high_energy_closes_its_sections(tmp_path, capsys):
+    # the section closure tolerance scales with the seed, whose velocities grow as sqrt(h)
+    cfg_path = write_config(tmp_path, base_config(energy_target=1.0e6, dt=4.4e-5))
+    report_path = str(tmp_path / "kolosov.json")
+    assert main(["kolosov", "--config", cfg_path, "--output", str(tmp_path / "ell.csv"),
+                 "--report", report_path]) == 0
+    capsys.readouterr()
+    with open(report_path) as handle:
+        assert json.load(handle)["all_passed"] is True
+
+
+@pytest.mark.parametrize("inertia, code, failed", [
+    ([1e-100, 1e-100, 1e-100], 0, []),
+    ([1e100, 2e100, 3e100], 4, ["reconstruction-momentum-residual"]),
+], ids=["1e-100", "1e100"])
+def test_cli_verify_at_extreme_inertia_scale(tmp_path, capsys, inertia, code, failed):
+    # the determinant identity is evaluated at unit inertia scale, so neither
+    # side over- or underflows
+    cfg_path = write_config(tmp_path, base_config(inertia=inertia, t_end=0.05))
+    report_path = str(tmp_path / "report.json")
+    assert main(["verify", "--config", cfg_path, "--output", report_path]) == code
+    capsys.readouterr()
+    with open(report_path) as handle:
+        checks = json.load(handle)["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == failed
+
+
 def test_cli_dt_override_changes_grid(tmp_path, capsys):
     cfg_path = write_config(tmp_path, base_config(t_end=0.5))
     out = str(tmp_path / "r.csv")

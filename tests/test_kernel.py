@@ -198,7 +198,7 @@ def test_packed_metric_of_the_wrong_length_is_a_value_error_for_d1():
     (routhian, 1),
     (reduced_energy, 1),
     (lambda sys, f, r: shape_momentum(sys, f, r.q, r.qdot), 1),
-    (symplectic_det_pair, 4 * 2 + 1),   # 4n finite-difference probes + the determinant side
+    (symplectic_det_pair, 2 + 2),       # n + 1 forward-difference evaluations + the determinant side
 ], ids=["routhian", "reduced-energy", "shape-momentum", "symplectic-det-pair"])
 def test_completed_state_evaluates_the_metric_once(triaxial_system, zero_momentum,
                                                    generic_state, evaluate, expected):

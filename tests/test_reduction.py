@@ -24,7 +24,14 @@ from routhkit import (
     symplectic_det_pair,
 )
 from routhkit.integrate import full_rhs
-from routhkit.reduction import _UPPER, _checked_metric, evaluate_metric
+from routhkit.reduction import (
+    _UPPER,
+    _checked_metric,
+    evaluate_metric,
+    gradient,
+    shape_momentum,
+)
+from routhkit.verify import random_system
 
 from conftest import kinetic_oracle, reduced_field
 
@@ -347,6 +354,37 @@ def test_symplectic_pair_rigid_body(triaxial_system, zero_momentum, rng):
         r = ReducedState(q=[0.7, 1.1], qdot=rng.normal(size=2))
         lhs, rhs = symplectic_det_pair(triaxial_system, zero_momentum, r)
         assert abs(lhs - rhs) / abs(rhs) < 1e-5
+
+
+def check_lhs_against_the_full_form(sys, f, r):
+    """The left side, det(B)^2, against the determinant of the whole 2n x 2n
+    reduced form [[A - A^T, B], [-B^T, 0]]: central differences of the shape
+    momentum over q (A) and over qdot (B).  Returns the largest |A - A^T|."""
+    n = sys.n
+    A = gradient(lambda p: shape_momentum(sys, f, p, r.qdot), r.q).T
+    B = gradient(lambda u: shape_momentum(sys, f, r.q, u), r.qdot).T
+    oracle = float(np.linalg.det(np.block([[A - A.T, B], [-B.T, np.zeros((n, n))]])))
+    lhs, _ = symplectic_det_pair(sys, f, r)
+    assert abs(lhs - oracle) <= 1e-8 * abs(oracle)
+    return np.max(np.abs(A - A.T))
+
+
+@pytest.mark.parametrize("c", [0.0, 0.8])
+def test_symplectic_pair_lhs_matches_the_full_form_on_the_rigid_body(triaxial_system, rng, c):
+    for _ in range(5):
+        q = [rng.uniform(-np.pi, np.pi), rng.uniform(0.4, np.pi - 0.4)]
+        r = ReducedState(q=q, qdot=rng.normal(size=2))
+        assert check_lhs_against_the_full_form(triaxial_system, MomentumValue([], [c]), r) > 1e-3
+
+
+@pytest.mark.parametrize("n, k, l, constant", [(2, 1, 1, False), (3, 1, 2, False), (2, 0, 1, True)],
+                         ids=["d4-varying", "d6-varying", "d3-constant"])
+def test_symplectic_pair_lhs_matches_the_full_form_on_random_systems(rng, n, k, l, constant):
+    sys = random_system(rng, n=n, k=k, l=l, constant=constant)
+    f = MomentumValue(xi=rng.normal(size=k), eta=rng.normal(size=l))
+    for _ in range(5):
+        shape_block = check_lhs_against_the_full_form(sys, f, random_state(rng, sys))
+        assert constant or shape_block > 1e-3     # a live A block on a q-dependent metric
 
 
 # ---------------------------------------------------------------------------
