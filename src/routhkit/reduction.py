@@ -648,6 +648,20 @@ def _potential_floats(sys: SymmetricSystem, q: np.ndarray):
     return grad.tolist()
 
 
+def _carried_potential_grad(potential, n: int, bind):
+    """A builder's ``potential_grad`` for a potential handed to it separately.
+
+    Exactly zero (n floats) without a potential; ``bind(potential.grad)``,
+    a callable q -> gradient, when the potential carries its derivative as
+    a ``grad`` attribute; otherwise None, so the potential is differenced.
+    """
+    if potential is None:
+        zero = (0.0,) * n
+        return lambda q: zero
+    grad = getattr(potential, "grad", None)
+    return None if grad is None else bind(grad)
+
+
 def accel(sys: SymmetricSystem, q: np.ndarray, v, K, L) -> list:
     """Euler-Lagrange acceleration of the full system at (q, v).
 

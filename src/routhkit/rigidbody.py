@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ChartBoundary, GridMismatch, InvalidParams, SpanTooShort
 from .integrate import Trajectory, cumulative_quadrature
-from .reduction import BOUNDARY_TOL, TWO_PI, SymmetricSystem, _real
+from .reduction import BOUNDARY_TOL, TWO_PI, SymmetricSystem, _carried_potential_grad, _real
 
 
 @dataclass(frozen=True)
@@ -132,12 +132,8 @@ def rb_system(p: RigidBodyParams) -> SymmetricSystem:
     def potential(q: np.ndarray) -> float:
         return p.potential_value(q[0], q[1])
 
-    def potential_grad(q: np.ndarray):
-        if p.potential is None:
-            return 0.0, 0.0
-        return p.potential.grad(q[0], q[1])
-
-    closed_grad = p.potential is None or hasattr(p.potential, "grad")
+    potential_grad = _carried_potential_grad(p.potential, 2,
+                                             lambda grad: lambda q: grad(q[0], q[1]))
 
     def pole_guard(q: np.ndarray) -> float:
         return min(q[1], math.pi - q[1])
@@ -145,7 +141,7 @@ def rb_system(p: RigidBodyParams) -> SymmetricSystem:
     return SymmetricSystem(n=2, k=0, l=1, mass_matrix=mass_matrix,
                            potential=potential, pole_guard=pole_guard,
                            name="rigid-body", mass_matrix_grad=mass_matrix_grad,
-                           potential_grad=potential_grad if closed_grad else None)
+                           potential_grad=potential_grad)
 
 
 def _guard_theta(theta: float) -> None:
@@ -159,10 +155,14 @@ def kolosov_reduced_lagrangian(p: RigidBodyParams, phi: float, theta: float,
 
     The quadratic form is the Schur complement of the precession block,
     written out explicitly; it agrees with the Routhian of ``rb_system``
-    at zero momentum on the chart interior.
+    at zero momentum on the chart interior.  The kinetic part is
+    homogeneous of degree 1 in the moments: it is evaluated at the moments
+    scaled by a power of two to below 1 and scaled back exactly, so no
+    product of moments overflows.
     """
     _guard_theta(theta)
-    A, B, C = p.A, p.B, p.C
+    e = math.frexp(max(p.A, p.B, p.C))[1]
+    A, B, C = math.ldexp(p.A, -e), math.ldexp(p.B, -e), math.ldexp(p.C, -e)
     sp, cp = math.sin(phi), math.cos(phi)
     st, ct = math.sin(theta), math.cos(theta)
     denom = (A * sp * sp + B * cp * cp) * st * st + C * ct * ct
@@ -170,7 +170,7 @@ def kolosov_reduced_lagrangian(p: RigidBodyParams, phi: float, theta: float,
     r_num = (A * sp * sp + B * cp * cp) * C * st * st
     cross = 2.0 * (A - B) * C * phidot * thetadot * sp * cp * st * ct
     kinetic = 0.5 * (q_num * thetadot ** 2 + r_num * phidot ** 2 - cross) / denom
-    return kinetic - p.potential_value(phi, theta)
+    return math.ldexp(kinetic, e) - p.potential_value(phi, theta)
 
 
 def psi_dot_zero_momentum(p: RigidBodyParams, phi: float, theta: float,

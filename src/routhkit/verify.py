@@ -88,7 +88,8 @@ def _result(name: str, value: float, tolerance: float, detail: str = "") -> Chec
 
 def random_system(rng: np.random.Generator, n: int = None, k: int = None,
                   l: int = None, constant: bool = True) -> SymmetricSystem:
-    """Random symmetric system with a (possibly q-dependent) SPD matrix.
+    """Random symmetric system with a (possibly q-dependent) SPD matrix and
+    closed-form derivatives of its metric and potential.
     Counts left as None are drawn; l = 1 replaces a drawn k = l = 0."""
     drawn = k is None and l is None
     n = int(rng.integers(1, 4)) if n is None else n
@@ -114,8 +115,15 @@ def random_system(rng: np.random.Generator, n: int = None, k: int = None,
     def v0(q: np.ndarray) -> float:
         return float(coeffs @ np.cos(q))
 
+    def mass_grad(q: np.ndarray) -> np.ndarray:
+        return (amp * float(np.cos(freq @ q)) * freq)[:, None, None] * S
+
+    def v0_grad(q: np.ndarray) -> np.ndarray:
+        return -coeffs * np.sin(q)
+
     return SymmetricSystem(n=n, k=k, l=l, mass_matrix=mass, potential=v0,
-                           name="synthetic-varying")
+                           name="synthetic-varying", mass_matrix_grad=mass_grad,
+                           potential_grad=v0_grad)
 
 
 def random_momentum(rng: np.random.Generator, sys: SymmetricSystem) -> MomentumValue:

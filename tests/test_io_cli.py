@@ -705,3 +705,49 @@ def test_cli_central_force_system(tmp_path, capsys):
     traj, labels = read_trajectory_csv(out)
     assert labels == ["r", "rdot"]
     assert np.max(np.abs(traj.states[:, 0] - 1.0)) < 1e-8  # circular orbit
+
+
+_CENTRAL_HARMONIC = {
+    "system": "central-force",
+    "potential": {"kind": "harmonic", "coefficient": 1.5},
+    "momentum": {"xi": [], "eta": [0.8]},
+    "t_end": 1.0,
+    "dt": 0.01,
+    "initial": {"reduced": {"q": [1.2], "qdot": [0.1]},
+                "cyclic0": {"x": [], "psi": [0.0]}},
+}
+_CUSTOM_D4 = {
+    "system": "custom-matrix",
+    "potential": {"kind": "none"},
+    "momentum": {"xi": [0.3], "eta": [-0.2]},
+    "t_end": 1.0,
+    "dt": 0.01,
+    "initial": {"reduced": {"q": [0.1, 0.2], "qdot": [0.3, -0.1]},
+                "cyclic0": {"x": [0.0], "psi": [0.5]}},
+    "custom": {"n": 2, "k": 1, "l": 1,
+               "matrix": [[4.0, 1.0, 0.5, 0.0], [1.0, 3.0, 0.0, 0.2],
+                          [0.5, 0.0, 2.0, 0.1], [0.0, 0.2, 0.1, 1.0]]},
+}
+
+
+@pytest.mark.parametrize("cfg, reduced_labels, full_labels", [
+    (_CENTRAL_HARMONIC, ["r", "rdot"], ["r", "angle", "rdot", "angledot"]),
+    (_CUSTOM_D4, ["q0", "q1", "q0dot", "q1dot"],
+     ["q0", "q1", "x0", "psi0", "q0dot", "q1dot", "x0dot", "psi0dot"]),
+], ids=["central-force-harmonic", "custom-matrix-d4"])
+def test_cli_csv_verbs_on_the_other_shipped_systems(tmp_path, capsys, cfg, reduced_labels,
+                                                    full_labels):
+    # the three CSV verbs on the systems the CLI builds besides the rigid body
+    cfg_path = write_config(tmp_path, cfg)
+    red, rec, full = (str(tmp_path / f"{name}.csv") for name in ("red", "rec", "full"))
+    assert main(["simulate-reduced", "--config", cfg_path, "--output", red]) == 0
+    assert main(["reconstruct", "--config", cfg_path, "--reduced", red, "--output", rec]) == 0
+    assert main(["simulate-full", "--config", cfg_path, "--output", full]) == 0
+    capsys.readouterr()
+    for path, expected in ((red, reduced_labels), (rec, full_labels), (full, full_labels)):
+        traj, labels = read_trajectory_csv(path)
+        assert labels == expected
+        assert traj.states.shape == (101, len(expected))
+    # reconstruction from the reduced run follows the full run
+    gap = read_trajectory_csv(full)[0].states - read_trajectory_csv(rec)[0].states
+    assert np.max(np.abs(gap)) < 1e-6

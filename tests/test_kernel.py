@@ -58,7 +58,10 @@ def chart_states(rng, sys, count):
     lambda: rb_system(RigidBodyParams(1.0, 1.5, 2.0, potential=heavy_potential(0.8))),
     lambda: central_force_system(harmonic_radial_potential(1.0)),
     lambda: constant_matrix_system(2, 1, 1, np.diag([1.0, 2.0, 3.0, 4.0])),
-], ids=["rigid-body", "heavy-body", "central-force", "constant-matrix"])
+    lambda: random_system(np.random.default_rng(3), n=2, k=0, l=1, constant=False),
+    lambda: random_system(np.random.default_rng(6), n=3, k=1, l=2, constant=False),
+], ids=["rigid-body", "heavy-body", "central-force", "constant-matrix", "random-d3-float",
+        "random-d6-numpy"])
 def test_closed_form_metric_grad_matches_central_differences(make, rng):
     sys = make()
     assert sys.mass_matrix_grad is not None
@@ -79,7 +82,7 @@ def test_central_force_reduced_accel_closed_form(rng):
         f = MomentumValue(xi=[], eta=[eta])
         _, qddot = reduced_field(sys, f, ReducedState(q=[r], qdot=[rng.normal()]))
         expected = eta ** 2 / r ** 3 - k * r
-        assert qddot[0] == pytest.approx(expected, rel=1e-8, abs=1e-8)
+        assert abs(qddot[0] - expected) <= 1e-14 * max(eta ** 2 / r ** 3, k * r)
 
 
 def _routhian_accel_oracle(params, c, q, qdot):
@@ -139,12 +142,19 @@ def _count_metric(sys):
 
 
 def test_closed_form_rhs_evaluates_the_metric_once(triaxial_system, zero_momentum,
-                                                   generic_state):
+                                                   generic_state, rng):
     counted, calls = _count_metric(triaxial_system)
     reduced_vector_field(counted, zero_momentum)(generic_state.to_vector())
     assert len(calls) == 1
     s0 = complete_state(triaxial_system, zero_momentum, generic_state)
     full_rhs(counted)(s0.to_vector())
+    assert len(calls) == 2
+    # a q-dependent metric on the numpy path (d = 6) at nonzero momentum
+    counted, calls = _count_metric(random_system(rng, n=3, k=1, l=2, constant=False))
+    f = MomentumValue(xi=rng.normal(size=1), eta=rng.normal(size=2))
+    reduced_vector_field(counted, f)(rng.normal(size=6))
+    assert len(calls) == 1
+    full_rhs(counted)(rng.normal(size=12))
     assert len(calls) == 2
 
 
@@ -208,13 +218,32 @@ def test_completed_state_evaluates_the_metric_once(triaxial_system, zero_momentu
 
 
 def test_random_system_exercises_the_finite_difference_fallback(rng):
+    # random_system brings closed forms; without them the kernel differences
     sys = random_system(rng, n=3, k=1, l=2, constant=False)
-    assert sys.mass_matrix_grad is None
+    assert sys.mass_matrix_grad is not None and sys.potential_grad is not None
+    sys = replace(sys, mass_matrix_grad=None, potential_grad=None)
     counted, calls = _count_metric(sys)
     f = MomentumValue(xi=rng.normal(size=1), eta=rng.normal(size=2))
     y = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
     reduced_vector_field(counted, f)(y)
     assert len(calls) == 1 + 2 * sys.n
+
+
+@pytest.mark.parametrize("n, k, l", [(1, 1, 1), (3, 1, 2)], ids=["d3-float", "d6-numpy"])
+def test_differenced_rhs_matches_the_closed_form_rhs(n, k, l, rng):
+    # q-dependent metric and potential with cyclic coordinates at nonzero momentum
+    closed = random_system(rng, n=n, k=k, l=l, constant=False)
+    differenced = replace(closed, mass_matrix_grad=None, potential_grad=None)
+    f = MomentumValue(xi=rng.normal(size=k), eta=rng.normal(size=l))
+    for q in chart_states(rng, closed, 20):
+        y = np.concatenate([q, rng.normal(size=n)])
+        expected = np.asarray(reduced_vector_field(closed, f)(y))
+        got = np.asarray(reduced_vector_field(differenced, f)(y))
+        assert np.max(np.abs(got - expected)) <= 1e-8 * max(1.0, np.max(np.abs(expected)))
+        y = np.concatenate([q, rng.normal(size=k + l), rng.normal(size=closed.dim)])
+        expected = np.asarray(full_rhs(closed)(y))
+        got = np.asarray(full_rhs(differenced)(y))
+        assert np.max(np.abs(got - expected)) <= 1e-8 * max(1.0, np.max(np.abs(expected)))
 
 
 @pytest.mark.parametrize("constant", [True, False], ids=["constant", "varying"])
@@ -244,15 +273,21 @@ def test_conformal_grad_bit_identical_to_the_former_loop(rng):
         assert np.array_equal(cd.grad(u), former)
 
 
-@pytest.mark.parametrize("potential", [None, heavy_potential(0.8)], ids=["free", "heavy"])
-def test_closed_form_potential_grad_matches_central_differences(potential, rng):
-    sys = rb_system(RigidBodyParams(1.0, 2.0, 3.0, potential=potential))
+@pytest.mark.parametrize("make, zero", [
+    (lambda: rb_system(RigidBodyParams(1.0, 2.0, 3.0)), True),
+    (lambda: rb_system(RigidBodyParams(1.0, 2.0, 3.0, potential=heavy_potential(0.8))), False),
+    (lambda: central_force_system(harmonic_radial_potential(1.7)), False),
+    (lambda: constant_matrix_system(2, 1, 1, np.diag([1.0, 2.0, 3.0, 4.0])), True),
+    (lambda: random_system(np.random.default_rng(6), n=3, k=1, l=2, constant=False), False),
+], ids=["free", "heavy", "central-force-harmonic", "custom-matrix-free", "random"])
+def test_closed_form_potential_grad_matches_central_differences(make, zero, rng):
+    sys = make()
     assert sys.potential_grad is not None
     for q in chart_states(rng, sys, 25):
         closed = potential_grad(sys, q)
         numeric = gradient(sys.potential, q)
-        assert closed.shape == (2,)
-        if potential is None:
+        assert closed.shape == (sys.n,)
+        if zero:
             assert np.array_equal(closed, numeric)   # the central difference of 0
         else:
             assert np.max(np.abs(closed - numeric)) <= 1e-8
@@ -320,7 +355,8 @@ _BODIES = [(1.0, 2.0, 3.0), (1.0, 1.5, 2.0), (2.0, 2.0, 3.0)]
 
 
 @st.composite
-def small_cases(draw, kinds=("rigid-body", "heavy-body", "random", "constant")):
+def small_cases(draw, kinds=("rigid-body", "heavy-body", "random", "random-differenced",
+                              "constant")):
     """(system, momentum covector, q, qdot, cyclic velocities) with d = 2 or 3."""
     kind = draw(st.sampled_from(kinds))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -334,6 +370,8 @@ def small_cases(draw, kinds=("rigid-body", "heavy-body", "random", "constant")):
                                         (1, 2, 0), (1, 1, 1), (1, 0, 2), (2, 0, 0),
                                         (3, 0, 0)]))
         sys = random_system(rng, n=n, k=k, l=l, constant=kind == "constant")
+        if kind == "random-differenced":   # the fallback a user's system takes
+            sys = replace(sys, mass_matrix_grad=None, potential_grad=None)
     q = next(chart_states(rng, sys, 1))
     scale = draw(st.sampled_from([1e-3, 1.0, 10.0]))
     return (sys, rng.normal(size=sys.n_cyclic) * scale, q,

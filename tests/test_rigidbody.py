@@ -1,5 +1,7 @@
 """Rigid-body chart: kinetic matrix, closed forms, precession analysis."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -128,6 +130,18 @@ def test_closed_form_sphere_round_metric(rng):
         expected = 0.5 * c * (thetadot ** 2 + phidot ** 2 * np.sin(theta) ** 2)
         assert kolosov_reduced_lagrangian(p, phi, theta, phidot, thetadot) == \
             pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("k", [-400, 0, 400, 1000])
+def test_closed_form_kinetic_part_scales_with_the_moments_bit_for_bit(k, rng):
+    # degree 1 in (A, B, C): 2^k times the moments gives 2^k times the value,
+    # also where products of the moments would overflow (k = 1000)
+    unit = RigidBodyParams(1.0, 2.0, 3.0)
+    scaled = RigidBodyParams(*(math.ldexp(m, k) for m in (1.0, 2.0, 3.0)))
+    for _ in range(10):
+        state = random_chart_state(rng)
+        expected = math.ldexp(kolosov_reduced_lagrangian(unit, *state), k)
+        assert kolosov_reduced_lagrangian(scaled, *state) == expected
 
 
 def test_closed_form_zero_velocity_minus_potential():
