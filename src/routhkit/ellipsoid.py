@@ -28,6 +28,7 @@ from .integrate import (
     PeriodicOrbit,
     Trajectory,
     TrajectoryMeta,
+    _floats,
     cumulative_quadrature,
     integrate_ode,
     propagate,
@@ -98,21 +99,17 @@ class ConformalData:
         return gradient(self.potential, u)
 
 
-def _residual_unchecked(p: RigidBodyParams, u):
-    u = np.asarray(u, dtype=float)
-    return p.A * u[..., 0] ** 2 + p.B * u[..., 1] ** 2 + p.C * u[..., 2] ** 2 - 1.0
-
-
 def surface_residual(p: RigidBodyParams, u):
     """Constraint value A x^2 + B y^2 + C z^2 - 1 at a point, or at each
     row of a (..., 3) stack of points."""
-    res = _residual_unchecked(p, u)
+    u = np.asarray(u, dtype=float)
+    res = p.A * u[..., 0] ** 2 + p.B * u[..., 1] ** 2 + p.C * u[..., 2] ** 2 - 1.0
     return float(res) if res.ndim == 0 else res
 
 
 def _require_on_surface(p: RigidBodyParams, u) -> None:
     """Refuse a point, or a (..., 3) stack, whose worst residual exceeds SURFACE_TOL."""
-    worst = float(np.abs(_residual_unchecked(p, u)).max())
+    worst = float(np.abs(surface_residual(p, u)).max())
     if not worst <= SURFACE_TOL:
         raise OffSurface(f"constraint residual {worst:.3e} exceeds {SURFACE_TOL:.1e}")
 
@@ -266,8 +263,7 @@ def _flow_rhs(p: RigidBodyParams, cd: ConformalData, physical_time: bool = False
     """The constrained flow as an ``integrate_ode`` right-hand side: six
     floats (u, udot) in, a list of six floats out."""
     def rhs(y) -> list:
-        if not isinstance(y, list):  # direct callers may pass an array
-            y = np.asarray(y, dtype=float).tolist()
+        y = _floats(y)  # direct callers may pass an array
         udot = y[3:]
         uddot, _ = _accel(p, cd, y[:3], udot, physical_time)
         return udot + uddot

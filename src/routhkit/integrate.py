@@ -123,8 +123,9 @@ class PeriodicOrbit:
             raise ValueError("period must be positive")
 
 
-def _rk4_step(rhs, y, h: float) -> list:
-    """One classical RK4 step on a float sequence, component by component.
+def _rk4_step(rhs, y, h: float, project=None) -> list:
+    """One classical RK4 step on a float sequence, component by component,
+    projected when ``project`` is given.
 
     Stages combine as ``y + 0.5*h*k`` and ``y + (h/6)*(k1 + 2k2 + 2k3 + k4)``,
     the operation order of the array formula, so results are bit-identical
@@ -136,8 +137,9 @@ def _rk4_step(rhs, y, h: float) -> list:
     k3 = rhs([a + hh * b for a, b in zip(y, k2)])
     k4 = rhs([a + h * b for a, b in zip(y, k3)])
     h6 = h / 6.0
-    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+         for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return y if project is None else project(y)
 
 
 def _dp_step(rhs, y, h: float, k1):
@@ -179,12 +181,6 @@ def _checked(fn, *args):
     except ArithmeticError:
         return None
     return out if all(map(math.isfinite, out[0] if fn is _dp_step else out)) else None
-
-
-def _rk4_advance(rhs, y, h: float, project):
-    """One RK4 step, projected when ``project`` is given."""
-    y = _rk4_step(rhs, y, h)
-    return y if project is None else project(y)
 
 
 def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: float,
@@ -232,7 +228,7 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
         states = np.empty((n_steps + 1, len(y)))
         states[0] = y
         for i in range(n_steps):
-            y = _checked(_rk4_advance, rhs, y, h, project)
+            y = _checked(_rk4_step, rhs, y, h, project)
             if y is None:
                 raise StepFailure(f"non-finite state at t={times[i + 1]:.6g}")
             states[i + 1] = y
@@ -317,7 +313,7 @@ def integrate_grid(rhs, s0, grid, dt: float, project=None) -> np.ndarray:
         n_sub = max(1, int(math.ceil(seg / dt - 1e-12)))
         h = seg / n_sub
         for j in range(n_sub):
-            y = _checked(_rk4_advance, rhs, y, h, project)
+            y = _checked(_rk4_step, rhs, y, h, project)
             if y is None:
                 raise StepFailure(f"non-finite state at t={ts[i] + (j + 1) * h:.6g}")
         out[i + 1] = y

@@ -33,8 +33,8 @@ SYMMETRY_TOL = 1e-12
 # overhead outweighs the work there.  Every other size runs on numpy.
 _FLOAT_DIMS = (2, 3)
 # Row and column indices of the packed upper triangle (row-major) and its
-# length, for the sizes a system may hand its metric in packed form.
-_UPPER = {d: tuple(zip(*[(i, j) for i in range(d) for j in range(i, d)])) for d in (1, 2, 3)}
+# length: a metric may come packed only where the float kernel reads it.
+_UPPER = {d: tuple(zip(*[(i, j) for i in range(d) for j in range(i, d)])) for d in _FLOAT_DIMS}
 _PACKED = {d: len(rows) for d, (rows, _) in _UPPER.items()}
 
 TWO_PI = 2.0 * np.pi
@@ -68,14 +68,14 @@ class SymmetricSystem:
         l: Number of angle-type cyclic coordinates psi.
         mass_matrix: Callable q -> symmetric positive definite
             (n+k+l) x (n+k+l) kinetic matrix (energy per squared velocity).
-            For d = n+k+l <= 3 it may instead return the packed upper
+            For d = n+k+l = 2 or 3 it may instead return the packed upper
             triangle: a flat tuple of d(d+1)/2 floats in row-major order,
             (K00, K01, K02, K11, K12, K22) for d = 3.  A packed triangle is
             checked for its length, finiteness and positive pivots; a
             full matrix for its shape, finiteness, symmetry and positive
             pivots.  For d = 2 and 3 either format is solved on floats;
-            d = 1 and d > 3 are solved with numpy, a packed 1-tuple being
-            unpacked first.  The public metric names (``evaluate_metric``,
+            every other d takes a full matrix only and is solved with
+            numpy.  The public metric names (``evaluate_metric``,
             ``metric_grad``, ...) return full arrays either way.
         potential: Callable q -> potential energy.
         pole_guard: Optional callable q -> distance to the chart boundary.
@@ -83,7 +83,7 @@ class SymmetricSystem:
             ChartBoundary.
         name: Short identifier used in trajectory metadata.
         mass_matrix_grad: Optional callable q -> (n, d, d) array whose
-            entry b is dK/dq_b, or for d <= 3 a tuple of n packed
+            entry b is dK/dq_b, or for d = 2 or 3 a tuple of n packed
             triangles.  Without it the dynamics take central differences
             of ``mass_matrix``.
         potential_grad: Optional callable q -> (n,) gradient of the
@@ -346,21 +346,14 @@ def _force(dK, g, v: list, n: int) -> list:
     return force
 
 
-def _asymmetric(defect: float) -> NotPositiveDefinite:
-    return NotPositiveDefinite(
-        f"kinetic matrix asymmetric: |K - K^T| = {defect:.3e} exceeds "
-        f"{SYMMETRY_TOL:.1e} relative"
-    )
-
-
 def _checked_metric(sys: SymmetricSystem, q: np.ndarray):
     """Guarded and validated kinetic matrix at q, with its float factor.
 
     This is where the float kernel (d in ``_FLOAT_DIMS``) or numpy (any
-    other d) is chosen.  A packed triangle gets the length and finiteness
-    checks; it is symmetric by construction, and for d = 1 it is unpacked
-    for numpy.  A full matrix gets the shape, finiteness and symmetry
-    checks.  Every matrix gets the definiteness check.
+    other d) is chosen.  A packed triangle, accepted for d in
+    ``_FLOAT_DIMS`` only, gets the length and finiteness checks; it is
+    symmetric by construction.  A full matrix gets the shape, finiteness
+    and symmetry checks.  Every matrix gets the definiteness check.
 
     Returns:
         (K, L): for d in ``_FLOAT_DIMS`` the packed upper triangle of the
@@ -390,7 +383,8 @@ def _checked_metric(sys: SymmetricSystem, q: np.ndarray):
     scale = max(1.0, top)
     defect = float(np.abs(K - K.T).max())
     if defect > SYMMETRY_TOL * scale:
-        raise _asymmetric(defect)
+        raise NotPositiveDefinite(f"kinetic matrix asymmetric: |K - K^T| = {defect:.3e} "
+                                  f"exceeds {SYMMETRY_TOL:.1e} relative")
     if d in _FLOAT_DIMS:
         P = K[_UPPER[d]].tolist()
         return P, _factor(P)

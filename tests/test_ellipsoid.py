@@ -575,7 +575,6 @@ def test_equatorial_analysis_rhs_budget(monkeypatch, triaxial_params, triaxial_s
         return counted
 
     monkeypatch.setattr(integ, "reduced_vector_field", counted_field)
-    monkeypatch.setattr(verify, "reduced_vector_field", counted_field)
     h = reduced_energy(triaxial_system, zero_momentum, generic_state)
     _, _, endpoint, rotating = verify._equatorial_analysis(
         triaxial_params, triaxial_system, zero_momentum, h)

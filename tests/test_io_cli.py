@@ -9,18 +9,25 @@ import re
 import numpy as np
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from routhkit import (
     ConfigError,
     MomentumValue,
     ReducedState,
     RigidBodyParams,
+    SingularReducedMass,
+    SpanTooShort,
     Trajectory,
     TrajectoryMeta,
     complete_state,
+    constant_matrix_system,
     rb_system,
+    reduced_vector_field,
 )
 from routhkit import errors
+from routhkit import verify
 from routhkit.cli import main
 from routhkit.config import load_config, parse_config, state_labels
 from routhkit.trajectory_io import read_trajectory_csv, write_atomic, write_trajectory_csv
@@ -79,7 +86,10 @@ def test_csv_round_trip_bit_exact(tmp_path, rng):
     # a comment line without "=" is not metadata and is skipped
     commented = tmp_path / "commented.csv"
     commented.write_text("# written by hand\n#\n" + text)
-    for source in (path, str(older), str(commented)):
+    # so is a blank line
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_text(text.replace("\n", "\n\n"))
+    for source in (path, str(older), str(commented), str(spaced)):
         back, labels = read_trajectory_csv(source)
         assert labels == ["a", "b", "c", "d"]
         assert np.array_equal(back.times, traj.times)
@@ -87,6 +97,48 @@ def test_csv_round_trip_bit_exact(tmp_path, rng):
         assert back.meta.system == "rigid-body"
         assert back.meta.momentum.matches(traj.meta.momentum)
         assert back.meta.energy0 == traj.meta.energy0
+
+
+# any finite float, with a signed zero, subnormals and values near the ends
+# of the range drawn often: their text forms are the easiest to get wrong
+_cell = st.one_of(st.sampled_from([-0.0, 5e-324, -1e-310, 1e300, -1e300, 1.7976931348623157e308]),
+                  st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def trajectories(draw):
+    rows, cols = draw(st.integers(2, 10)), draw(st.integers(1, 4))
+    times = sorted(draw(st.lists(_cell, min_size=rows, max_size=rows, unique=True)))
+    states = draw(st.lists(st.lists(_cell, min_size=cols, max_size=cols),
+                           min_size=rows, max_size=rows))
+    meta = TrajectoryMeta(system=draw(st.text(alphabet='ab -=,#"\\', max_size=8)),
+                          momentum=MomentumValue(xi=draw(st.lists(_cell, max_size=2)),
+                                                 eta=draw(st.lists(_cell, max_size=2))),
+                          energy0=draw(st.one_of(st.none(), _cell)))
+    return Trajectory(times=times, states=states, meta=meta)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(traj=trajectories())
+def test_csv_round_trip_is_bit_exact_for_drawn_trajectories(tmp_path, traj):
+    path = str(tmp_path / "drawn.csv")   # each example overwrites the file
+    labels = [f"s{i}" for i in range(traj.states.shape[1])]
+    write_trajectory_csv(path, traj, labels)
+    back, back_labels = read_trajectory_csv(path)
+    assert back_labels == labels
+    assert _bits(back.times) == _bits(traj.times)
+    assert _bits(back.states) == _bits(traj.states)
+    assert back.meta.system == traj.meta.system
+    assert _bits(back.meta.momentum.xi) == _bits(traj.meta.momentum.xi)
+    assert _bits(back.meta.momentum.eta) == _bits(traj.meta.momentum.eta)
+    if traj.meta.energy0 is None:
+        assert back.meta.energy0 is None
+    else:
+        assert _bits(back.meta.energy0) == _bits(traj.meta.energy0)
 
 
 def test_csv_rejects_label_mismatch(tmp_path, rng):
@@ -666,11 +718,13 @@ def test_cli_kolosov_sphere_periods_equal(tmp_path, capsys):
         jsonschema.validate(report, json.load(handle))
 
 
-@pytest.mark.parametrize("inertia, equal", [([1.0, 1.0, 1.5], "xy"), ([1.0, 1.5, 1.5], "yz")],
-                         ids=["A=B", "B=C"])
+@pytest.mark.parametrize("inertia, equal", [([1.0, 1.0, 1.5], "xy"), ([1.0, 1.5, 1.5], "yz"),
+                                            ([2.0, 3.0, 4.5], "xz")],
+                         ids=["A=B", "B=C", "T_x=T_z"])
 def test_cli_kolosov_axisymmetric_body(tmp_path, capsys, inertia, equal):
     # with exactly two equal moments the equal-moment sections are congruent
-    # and share one period in closed form, and the third differs from both
+    # and share one period in closed form, and the third differs from both;
+    # body (2, 3, 4.5) has distinct moments but T_x = T_z in closed form
     cfg_path = write_config(tmp_path, base_config(inertia=inertia, energy_target=20.0, dt=0.01))
     report_path = str(tmp_path / "kolosov.json")
     assert main(["kolosov", "--config", cfg_path, "--output", str(tmp_path / "ell.csv"),
@@ -751,3 +805,55 @@ def test_cli_csv_verbs_on_the_other_shipped_systems(tmp_path, capsys, cfg, reduc
     # reconstruction from the reduced run follows the full run
     gap = read_trajectory_csv(full)[0].states - read_trajectory_csv(rec)[0].states
     assert np.max(np.abs(gap)) < 1e-6
+
+
+def test_cli_csv_verbs_on_rk45(tmp_path, capsys):
+    # the three CSV verbs on the adaptive DP45 stepper: reconstruct keeps the
+    # reduced run's grid, and it ends where the full run does
+    cfg_path = write_config(tmp_path, base_config(integrator={"method": "rk45"}))
+    red, rec, full = (str(tmp_path / f"{name}.csv") for name in ("red", "rec", "full"))
+    assert main(["simulate-reduced", "--config", cfg_path, "--output", red]) == 0
+    assert main(["reconstruct", "--config", cfg_path, "--reduced", red, "--output", rec]) == 0
+    assert main(["simulate-full", "--config", cfg_path, "--output", full]) == 0
+    capsys.readouterr()
+    (red, red_labels), (rec, rec_labels), (full, full_labels) = (
+        read_trajectory_csv(path) for path in (red, rec, full))
+    assert red_labels == ["phi", "theta", "phidot", "thetadot"]
+    assert rec_labels == full_labels == ["phi", "theta", "psi", "phidot", "thetadot", "psidot"]
+    assert np.array_equal(rec.times, red.times)
+    assert red.times[-1] == full.times[-1] == 1.0
+    gap = np.abs(rec.states[-1] - full.states[-1])
+    gap[2] = min(gap[2], 2 * np.pi - gap[2])  # angle column
+    assert np.max(gap) < 1e-6
+
+
+def test_failed_cyclic_solve_is_singular_reduced_mass_exit_3(tmp_path, capsys, monkeypatch):
+    # the numpy path (d = 4) maps a failed solve to SingularReducedMass
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    sys = constant_matrix_system(2, 1, 1, _CUSTOM_D4["custom"]["matrix"])
+    f = MomentumValue(xi=_CUSTOM_D4["momentum"]["xi"], eta=_CUSTOM_D4["momentum"]["eta"])
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularReducedMass, match="reduced mass matrix solve failed"):
+        reduced_vector_field(sys, f)([0.1, 0.2, 0.3, -0.1])
+    assert main(["simulate-reduced", "--config", write_config(tmp_path, _CUSTOM_D4),
+                 "--output", str(tmp_path / "red.csv")]) == 3
+    assert "error: reduced mass matrix solve failed" in capsys.readouterr().err
+
+
+def test_kolosov_image_short_of_the_window_is_span_too_short_exit_4(
+        tmp_path, capsys, monkeypatch, triaxial_params, generic_state):
+    # a main reduced run that stops at half its span maps to an image that
+    # ends before the comparison window
+    whole = verify.integrate_reduced
+
+    def half_span(sys, f, r0, t0, t1, cfg):
+        return whole(sys, f, r0, t0, t0 + 0.5 * (t1 - t0), cfg)
+
+    monkeypatch.setattr(verify, "integrate_reduced", half_span)
+    with pytest.raises(SpanTooShort, match="before the window"):
+        verify.run_kolosov(triaxial_params, generic_state, dt=0.01, energy_target=20.0)
+    cfg_path = write_config(tmp_path, base_config(energy_target=20.0, dt=0.01))
+    assert main(["kolosov", "--config", cfg_path, "--output", str(tmp_path / "ell.csv")]) == 4
+    assert "before the window" in capsys.readouterr().err

@@ -196,11 +196,12 @@ def test_wrong_shape_metric_is_a_value_error(field, expected, value):
         full_rhs(sys)(np.array([1.0, 0.0, 0.0, 0.0]))
 
 
-def test_packed_metric_of_the_wrong_length_is_a_value_error_for_d1():
-    # d = 1 is solved with numpy; its packed triangle is checked where it is unpacked
-    sys = SymmetricSystem(n=1, k=0, l=0, mass_matrix=lambda q: (1.0, 0.0),
+def test_packed_metric_is_a_value_error_for_d1():
+    # a packed triangle is accepted only where the float kernel reads it
+    # (d = 2, 3); at d = 1 a 1-tuple gets the shape error of any wrong shape
+    sys = SymmetricSystem(n=1, k=0, l=0, mass_matrix=lambda q: (1.0,),
                           potential=lambda q: 0.0)
-    with pytest.raises(ValueError, match=r"^packed kinetic matrix must have 1 entries, got 2$"):
+    with pytest.raises(ValueError, match=r"^kinetic matrix must be \(1,1\), got \(1,\)$"):
         evaluate_metric(sys, np.zeros(1))
 
 

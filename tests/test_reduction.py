@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routhkit import (
     ChartBoundary,
@@ -31,7 +33,7 @@ from routhkit.reduction import (
     gradient,
     shape_momentum,
 )
-from routhkit.verify import random_system
+from routhkit.verify import _ROUND_TRIP, random_system
 
 from conftest import kinetic_oracle, reduced_field
 
@@ -133,6 +135,22 @@ def test_momentum_round_trip(rng):
         back = momentum_map(sys, complete_state(sys, f, r)).as_vector()
         ref = max(1.0, float(np.max(np.abs(f.as_vector()))))
         assert np.max(np.abs(back - f.as_vector())) / ref < 1e-12
+
+
+def _vector(size, bound):
+    return st.lists(st.floats(-bound, bound), min_size=size, max_size=size)
+
+
+@settings(max_examples=100)
+@given(seed=st.integers(0, 2 ** 32 - 1), constant=st.booleans(), data=st.data())
+def test_momentum_round_trip_on_drawn_systems(seed, constant, data):
+    # the momentum-round-trip check of routhkit verify, on drawn systems and states
+    sys = random_system(np.random.default_rng(seed), constant=constant)
+    f = MomentumValue(xi=data.draw(_vector(sys.k, 100.0)), eta=data.draw(_vector(sys.l, 100.0)))
+    r = ReducedState(q=data.draw(_vector(sys.n, 10.0)), qdot=data.draw(_vector(sys.n, 3.0)))
+    back = momentum_map(sys, complete_state(sys, f, r)).as_vector()
+    ref = max(1.0, float(np.max(np.abs(f.as_vector()))))
+    assert np.max(np.abs(back - f.as_vector())) / ref <= _ROUND_TRIP[2]
 
 
 # ---------------------------------------------------------------------------
