@@ -201,53 +201,69 @@ def project_to_surface(p: RigidBodyParams, u, udot):
     return np.array(out[:3]), np.array(out[3:])
 
 
-def _accel(p: RigidBodyParams, cd: ConformalData, u, udot, physical_time: bool):
-    """Constrained acceleration and multiplier; no surface checks.
+def _accel_kernel(p: RigidBodyParams, cd: ConformalData, physical_time: bool):
+    """Constrained acceleration and multiplier as one closure over the
+    body's constants: six floats (u, udot) in, (ax, ay, az, lam) out; no
+    surface checks.
 
     Explicit integrator stage points sit slightly off the surface, so the
-    flow evaluates this formula without checking them.  ``u`` and ``udot``
-    are three floats each; the algebra runs on them directly and returns
-    the acceleration as a list of three floats.  Products rather than
-    powers let a huge state overflow to inf instead of raising.  A
-    potential is handed an array point, built only when there is one.
+    flow evaluates this formula without checking them.  The constants are
+    bound with the association of the written formula (``2.0 * A * x`` is
+    ``(2.0 * A) * x``).  Products rather than powers let a huge state
+    overflow to inf instead of raising.  A potential is handed an array
+    point, built only when there is one.
     """
     A, B, C = p.A, p.B, p.C
-    x, y, z = u
-    vx, vy, vz = udot
     abc = A * B * C
-    gx, gy, gz = 2.0 * A * x, 2.0 * B * y, 2.0 * C * z
-    # conformal factor a = abc / s and its gradient c * (ex, ey, ez)
-    ex, ey, ez = A * A * x, B * B * y, C * C * z
-    s = ex * x + ey * y + ez * z
-    factor = abc / s
-    c = -2.0 * factor * factor / abc
+    A2, B2, C2 = 2.0 * A, 2.0 * B, 2.0 * C
+    AA, BB, CC = A * A, B * B, C * C
+    h = cd.h
     free = cd.potential is None
-    if free:
-        fx, fy, fz = 0.0, 0.0, 0.0
-    else:
-        point = np.array([x, y, z])
-        fx, fy, fz = cd.grad(point).tolist()
-    if physical_time:
-        # w = T grad(a) - (grad(a) . udot) udot - grad(V)
-        a, inv_a = factor, s / abc
-        kinetic = 0.5 * (vx * vx + vy * vy + vz * vz)
-        dax, day, daz = c * ex, c * ey, c * ez
-        dav = dax * vx + day * vy + daz * vz
-        wx = kinetic * dax - dav * vx - fx
-        wy = kinetic * day - dav * vy - fy
-        wz = kinetic * daz - dav * vz - fz
-    else:
-        # w = -grad(a (V - h))
-        a, inv_a = 1.0, 1.0
-        dv = (-cd.h if free else cd.value(point) - cd.h) * c
-        wx = -(dv * ex + factor * fx)
-        wy = -(dv * ey + factor * fy)
-        wz = -(dv * ez + factor * fz)
+    value, grad = cd.value, cd.grad
 
-    # second derivative of the constraint: g . uddot + udot^T Hess(Phi) udot = 0
-    hess_term = 2.0 * (A * vx * vx + B * vy * vy + C * vz * vz)
-    lam = -(a * hess_term + gx * wx + gy * wy + gz * wz) / (gx * gx + gy * gy + gz * gz)
-    return [(wx + lam * gx) * inv_a, (wy + lam * gy) * inv_a, (wz + lam * gz) * inv_a], lam
+    def accel(x, y, z, vx, vy, vz):
+        gx, gy, gz = A2 * x, B2 * y, C2 * z
+        # conformal factor a = abc / s and its gradient c * (ex, ey, ez)
+        ex, ey, ez = AA * x, BB * y, CC * z
+        s = ex * x + ey * y + ez * z
+        factor = abc / s
+        c = -2.0 * factor * factor / abc
+        if free:
+            fx, fy, fz = 0.0, 0.0, 0.0
+        else:
+            point = np.array([x, y, z])
+            fx, fy, fz = grad(point).tolist()
+        if physical_time:
+            # w = T grad(a) - (grad(a) . udot) udot - grad(V)
+            a, inv_a = factor, s / abc
+            kinetic = 0.5 * (vx * vx + vy * vy + vz * vz)
+            dax, day, daz = c * ex, c * ey, c * ez
+            dav = dax * vx + day * vy + daz * vz
+            wx = kinetic * dax - dav * vx - fx
+            wy = kinetic * day - dav * vy - fy
+            wz = kinetic * daz - dav * vz - fz
+        else:
+            # w = -grad(a (V - h))
+            a, inv_a = 1.0, 1.0
+            dv = (-h if free else value(point) - h) * c
+            wx = -(dv * ex + factor * fx)
+            wy = -(dv * ey + factor * fy)
+            wz = -(dv * ez + factor * fz)
+
+        # second derivative of the constraint: g . uddot + udot^T Hess(Phi) udot = 0
+        hess_term = 2.0 * (A * vx * vx + B * vy * vy + C * vz * vz)
+        lam = -(a * hess_term + gx * wx + gy * wy + gz * wz) / (gx * gx + gy * gy + gz * gz)
+        return (wx + lam * gx) * inv_a, (wy + lam * gy) * inv_a, (wz + lam * gz) * inv_a, lam
+
+    return accel
+
+
+def _accel(p: RigidBodyParams, cd: ConformalData, u, udot, physical_time: bool):
+    """The ``_accel_kernel`` formula at one state: three floats each of
+    ``u`` and ``udot`` in, the acceleration as a list of three floats and
+    the multiplier out."""
+    *uddot, lam = _accel_kernel(p, cd, physical_time)(*u, *udot)
+    return uddot, lam
 
 
 def conformal_energy(p: RigidBodyParams, cd: ConformalData, s: EllipsoidState,
@@ -262,11 +278,13 @@ def conformal_energy(p: RigidBodyParams, cd: ConformalData, s: EllipsoidState,
 def _flow_rhs(p: RigidBodyParams, cd: ConformalData, physical_time: bool = False):
     """The constrained flow as an ``integrate_ode`` right-hand side: six
     floats (u, udot) in, a list of six floats out."""
+    accel = _accel_kernel(p, cd, physical_time)
+
     def rhs(y) -> list:
-        y = _floats(y)  # direct callers may pass an array
-        udot = y[3:]
-        uddot, _ = _accel(p, cd, y[:3], udot, physical_time)
-        return udot + uddot
+        # direct callers may pass an array
+        x, y, z, vx, vy, vz = y if isinstance(y, list) else _floats(y)
+        ax, ay, az, _ = accel(x, y, z, vx, vy, vz)
+        return [vx, vy, vz, ax, ay, az]
 
     return rhs
 

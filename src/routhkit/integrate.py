@@ -8,7 +8,9 @@ produce bit-identical outputs.
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -123,64 +125,114 @@ class PeriodicOrbit:
             raise ValueError("period must be positive")
 
 
+# One-component stage tables, in the operation order of the array formula.
+# ``a`` is the state component and ``b<j>`` the same component of stage j.
+# A row k<j> evaluates stage j at the point it gives (a bare name is passed
+# as it is, and no expression means the stage came in as ``k``); any other
+# row binds the list it gives to its name.
+_RK4_STAGES = (
+    ("k1", "y"),
+    ("k2", "a + hh * b1"),
+    ("k3", "a + hh * b2"),
+    ("k4", "a + h * b3"),
+    ("y", "a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)"),
+)
+# Dormand-Prince 5(4) with its zero entries left out.  The last stage row
+# equals the fifth-order weights, so the last stage is evaluated at y5
+# itself (first-same-as-last), and the error weights are b5 - b4.
+_DP45_STAGES = (
+    ("k1", None),
+    ("k2", "a + h * (1 / 5 * b1)"),
+    ("k3", "a + h * (3 / 40 * b1 + 9 / 40 * b2)"),
+    ("k4", "a + h * (44 / 45 * b1 - 56 / 15 * b2 + 32 / 9 * b3)"),
+    ("k5", "a + h * (19372 / 6561 * b1 - 25360 / 2187 * b2 + 64448 / 6561 * b3"
+           " - 212 / 729 * b4)"),
+    ("k6", "a + h * (9017 / 3168 * b1 - 355 / 33 * b2 + 46732 / 5247 * b3 + 49 / 176 * b4"
+           " - 5103 / 18656 * b5)"),
+    ("y5", "a + h * (35 / 384 * b1 + 500 / 1113 * b3 + 125 / 192 * b4 - 2187 / 6784 * b5"
+           " + 11 / 84 * b6)"),
+    ("k7", "y5"),
+    ("err", "h * ((35 / 384 - 5179 / 57600) * b1 + (500 / 1113 - 7571 / 16695) * b3"
+            " + (125 / 192 - 393 / 640) * b4 + (-2187 / 6784 + 92097 / 339200) * b5"
+            " + (11 / 84 - 187 / 2100) * b6 - 1 / 40 * b7)"),
+)
+
+_LENGTH_ERROR = "{} must return {} values, one per state component"
+
+# method -> (signature, lines before the stages, stage table, lines after them)
+_STEP_SOURCE = {
+    "rk4": ("rhs, y, h, project", ["hh = 0.5 * h", "h6 = h / 6.0"], _RK4_STAGES, [
+        "if project is not None:",
+        "    y = project(y)",
+        "    if len(y) != {d}:",
+        "        raise ValueError({project_error!r})",
+        "return y",
+    ]),
+    "dp45": ("rhs, y, h, k", [], _DP45_STAGES, ["return y5, err, k"]),
+}
+
+
+@functools.cache
+def _kernel(method: str, d: int):
+    """The straight-line ``method`` step for a state of length d, compiled
+    on first use from its stage table (one cached entry per method and
+    state length): per component, each expression of the table, so the
+    arithmetic is the table's to the bit.
+
+    An ``rhs`` value of another length than d raises ValueError where it
+    is unpacked.
+    """
+    signature, head, stages, tail = _STEP_SOURCE[method]
+
+    def components(expr):
+        return ", ".join(re.sub(r"\b(a|b\d)\b", rf"\1_{i}", expr) for i in range(d))
+
+    body = head + [f"[{components('a')}] = y"]
+    for name, expr in stages:
+        if name[0] == "k":
+            if expr is not None:
+                point = expr if expr.isidentifier() else f"[{components(expr)}]"
+                body.append(f"k = rhs({point})")
+            body += ["try:", f"    [{components('b' + name[1:])}] = k", "except ValueError:",
+                     f"    raise ValueError({_LENGTH_ERROR.format('rhs', d)!r}) from None"]
+        else:
+            body.append(f"{name} = [{components(expr)}]")
+    body += [line.format(d=d, project_error=_LENGTH_ERROR.format("project", d)) for line in tail]
+    source = f"def step({signature}):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = {}
+    exec(compile(source, f"<{method} step, d={d}>", "exec"), namespace)
+    return namespace["step"]
+
+
 def _rk4_step(rhs, y, h: float, project=None) -> list:
     """One classical RK4 step on a float sequence, component by component,
     projected when ``project`` is given.
 
     Stages combine as ``y + 0.5*h*k`` and ``y + (h/6)*(k1 + 2k2 + 2k3 + k4)``,
     the operation order of the array formula, so results are bit-identical
-    to it.
+    to it.  ``rhs`` and ``project`` must return len(y) values (ValueError).
     """
-    hh = 0.5 * h
-    k1 = rhs(y)
-    k2 = rhs([a + hh * b for a, b in zip(y, k1)])
-    k3 = rhs([a + hh * b for a, b in zip(y, k2)])
-    k4 = rhs([a + h * b for a, b in zip(y, k3)])
-    h6 = h / 6.0
-    y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-         for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-    return y if project is None else project(y)
+    return _kernel("rk4", len(y))(rhs, y, h, project)
 
 
 def _dp_step(rhs, y, h: float, k1):
     """One Dormand-Prince 5(4) trial step; returns (y5, error_vector, k_last).
 
-    The tableau is written out per component with its zero entries left
-    out.  The last stage row equals the fifth-order weights, so the last
-    stage is evaluated at y5 itself (first-same-as-last), and the error
-    weights are b5 - b4.
+    ``k1`` is the derivative at ``y``; every stage must have len(y) values
+    (ValueError).
     """
-    k2 = rhs([a + h * (1 / 5 * b1) for a, b1 in zip(y, k1)])
-    k3 = rhs([a + h * (3 / 40 * b1 + 9 / 40 * b2) for a, b1, b2 in zip(y, k1, k2)])
-    k4 = rhs([a + h * (44 / 45 * b1 - 56 / 15 * b2 + 32 / 9 * b3)
-              for a, b1, b2, b3 in zip(y, k1, k2, k3)])
-    k5 = rhs([a + h * (19372 / 6561 * b1 - 25360 / 2187 * b2 + 64448 / 6561 * b3
-                       - 212 / 729 * b4)
-              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
-    k6 = rhs([a + h * (9017 / 3168 * b1 - 355 / 33 * b2 + 46732 / 5247 * b3 + 49 / 176 * b4
-                       - 5103 / 18656 * b5)
-              for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)])
-    y5 = [a + h * (35 / 384 * b1 + 500 / 1113 * b3 + 125 / 192 * b4 - 2187 / 6784 * b5
-                   + 11 / 84 * b6)
-          for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)]
-    k7 = rhs(y5)
-    err = [h * ((35 / 384 - 5179 / 57600) * b1 + (500 / 1113 - 7571 / 16695) * b3
-                + (125 / 192 - 393 / 640) * b4 + (-2187 / 6784 + 92097 / 339200) * b5
-                + (11 / 84 - 187 / 2100) * b6 - 1 / 40 * b7)
-           for b1, b3, b4, b5, b6, b7 in zip(k1, k3, k4, k5, k6, k7)]
-    return y5, err, k7
+    return _kernel("dp45", len(y))(rhs, y, h, k1)
 
 
 def _checked(fn, *args):
     """``fn(*args)``, or None when the call raises ArithmeticError (Python
     floats raise OverflowError and ZeroDivisionError where arrays give inf
-    and nan) or its state is not finite.  A ``_dp_step`` trial's state is
-    y5; its error vector and last stage are left to the error norm."""
+    and nan) or returns a state that is not finite."""
     try:
         out = fn(*args)
     except ArithmeticError:
         return None
-    return out if all(map(math.isfinite, out[0] if fn is _dp_step else out)) else None
+    return out if all(map(math.isfinite, out)) else None
 
 
 def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: float,
@@ -190,7 +242,7 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
 
     The stepping runs on Python floats: ``rhs`` and ``project`` are handed
     the state as a list of floats and may return any sequence of floats
-    (a list or a 1-D array).
+    (a list or a 1-D array) with exactly as many values as the state.
 
     Args:
         rhs: autonomous state derivative.
@@ -202,12 +254,14 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
 
     Raises:
         ValueError: the span is not finite (t0 or t1 infinite or nan), or
-            t1 <= t0; raised before ``rhs`` is evaluated.
+            t1 <= t0, raised before ``rhs`` is evaluated; or ``rhs`` or
+            ``project`` returned another number of values than the state has.
         StepFailure: step size underflow (also a span too short to step); a
             derivative, state or error estimate not finite; ArithmeticError.
         MaxStepsExceeded: step budget exhausted.
     """
     y = np.asarray(s0, dtype=float).tolist()
+    d = len(y)
     t0, t1 = float(t0), float(t1)
     if not math.isfinite(t1 - t0):
         raise ValueError(f"integration span [{t0:.6g}, {t1:.6g}] must be finite")
@@ -225,7 +279,7 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
         h = span / n_steps
         times = t0 + (span / n_steps) * np.arange(n_steps + 1)
         times[-1] = t1
-        states = np.empty((n_steps + 1, len(y)))
+        states = np.empty((n_steps + 1, d))
         states[0] = y
         for i in range(n_steps):
             y = _checked(_rk4_step, rhs, y, h, project)
@@ -249,16 +303,22 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
         h = min(h, t1 - t)
         if h < h_min:
             raise StepFailure(f"step size underflow at t={t:.6g}")
-        trial = _checked(_dp_step, rhs, y, h, k1)
-        if trial is None:
+        try:
+            y_new, err, k_last = _dp_step(rhs, y, h, k1)
+        except ArithmeticError:
+            raise StepFailure(f"non-finite state at t={t:.6g}") from None
+        if not all(map(math.isfinite, y_new)):
             raise StepFailure(f"non-finite state at t={t:.6g}")
-        y_new, err, k_last = trial
         # RMS norm of the error against atol + rtol * max(|y|, |y_new|)
         acc = 0.0
         for a, b, e in zip(y, y_new, err):
-            r = e / (atol + rtol * max(abs(a), abs(b)))
+            if a < 0.0:
+                a = -a
+            if b < 0.0:
+                b = -b
+            r = e / (atol + rtol * (b if b > a else a))
             acc += r * r
-        err_norm = math.sqrt(acc / len(y))
+        err_norm = math.sqrt(acc / d)
         if err_norm <= 1.0:
             t = t + h
             y = y_new
@@ -267,6 +327,8 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
                 y = _checked(project, y)
                 if y is None:
                     raise StepFailure(f"non-finite state at t={t:.6g}")
+                if len(y) != d:
+                    raise ValueError(_LENGTH_ERROR.format("project", d))
                 k1 = _checked(rhs, y)
                 if k1 is None:
                     raise StepFailure(f"non-finite derivative at t={t:.6g}")
@@ -285,8 +347,12 @@ def propagate(rhs, s0, t0: float, t1: float, cfg: IntegratorConfig,
     """Final state of the flow over [t0, t1]; ``integrate_ode`` stores every step on the way.
 
     ``rhs`` and ``project`` follow the ``integrate_ode`` contract: a list of
-    floats in, a sequence of floats out.  A span that is not finite, or one
-    with t1 <= t0, raises ValueError.
+    floats in, a sequence of as many floats out.
+
+    Raises:
+        ValueError: the span is not finite or t1 <= t0, or ``rhs`` or
+            ``project`` returned another number of values than the state has.
+        StepFailure, MaxStepsExceeded: as ``integrate_ode``.
     """
     return integrate_ode(rhs, s0, t0, t1, cfg, project=project).states[-1]
 
@@ -295,11 +361,12 @@ def integrate_grid(rhs, s0, grid, dt: float, project=None) -> np.ndarray:
     """RK4 states on a prescribed grid, substepping each segment at <= dt.
 
     ``rhs`` and ``project`` follow the ``integrate_ode`` contract: a list of
-    floats in, a sequence of floats out.
+    floats in, a sequence of as many floats out.
 
     Raises:
         ValueError: ``grid`` breaks the ``cumulative_quadrature`` grid
-            contract, or ``dt`` is not finite and positive.
+            contract, ``dt`` is not finite and positive, or ``rhs`` or
+            ``project`` returned another number of values than the state has.
         StepFailure: a substep's state is not finite or raised ArithmeticError.
     """
     ts = _grid(grid).tolist()

@@ -23,6 +23,11 @@ GENERIC_Q = (0.7, 1.1)
 GENERIC_QDOT = (0.4, 0.15)
 
 
+def float_bits(values) -> list:
+    """Each value as the hex string of its float, for bit-for-bit comparisons."""
+    return [float.hex(float(v)) for v in values]
+
+
 @pytest.fixture(scope="session")
 def triaxial_params():
     return RigidBodyParams(*TRIAXIAL)

@@ -44,7 +44,7 @@ from routhkit import integrate as integ
 from routhkit import verify
 from routhkit.verify import run_kolosov
 
-from conftest import check, euler_poisson
+from conftest import check, euler_poisson, float_bits
 
 
 def closed_form_section_period(p, h, plane):
@@ -654,6 +654,44 @@ def accel_oracle(p, cd, u, udot, physical_time):
     return (w + lam * g) / a, lam, uddot_scale, lam_scale
 
 
+def accel_reference(p, cd, u, udot, physical_time):
+    """The constrained acceleration written out on floats, term by term in
+    the operation order the flow kernel must keep, with every constant read
+    from ``p`` and ``cd`` at the call: (uddot as three floats, lam)."""
+    A, B, C = p.A, p.B, p.C
+    x, y, z = u
+    vx, vy, vz = udot
+    abc = A * B * C
+    gx, gy, gz = 2.0 * A * x, 2.0 * B * y, 2.0 * C * z
+    ex, ey, ez = A * A * x, B * B * y, C * C * z
+    s = ex * x + ey * y + ez * z
+    factor = abc / s
+    c = -2.0 * factor * factor / abc
+    free = cd.potential is None
+    if free:
+        fx, fy, fz = 0.0, 0.0, 0.0
+    else:
+        point = np.array([x, y, z])
+        fx, fy, fz = cd.grad(point).tolist()
+    if physical_time:
+        a, inv_a = factor, s / abc
+        kinetic = 0.5 * (vx * vx + vy * vy + vz * vz)
+        dax, day, daz = c * ex, c * ey, c * ez
+        dav = dax * vx + day * vy + daz * vz
+        wx = kinetic * dax - dav * vx - fx
+        wy = kinetic * day - dav * vy - fy
+        wz = kinetic * daz - dav * vz - fz
+    else:
+        a, inv_a = 1.0, 1.0
+        dv = (-cd.h if free else cd.value(point) - cd.h) * c
+        wx = -(dv * ex + factor * fx)
+        wy = -(dv * ey + factor * fy)
+        wz = -(dv * ez + factor * fz)
+    hess_term = 2.0 * (A * vx * vx + B * vy * vy + C * vz * vz)
+    lam = -(a * hess_term + gx * wx + gy * wy + gz * wz) / (gx * gx + gy * gy + gz * gz)
+    return [(wx + lam * gx) * inv_a, (wy + lam * gy) * inv_a, (wz + lam * gz) * inv_a], lam
+
+
 def project_oracle(p, u, udot):
     """Surface projection written with 3-vector numpy algebra."""
     u = np.asarray(u, dtype=float).copy()
@@ -724,8 +762,11 @@ def test_accel_matches_vector_formula(kind, physical_time, state, h):
     uddot_ref, lam_ref, uddot_scale, lam_scale = accel_oracle(p, cd, u, udot, physical_time)
     assert_close_rel(uddot, uddot_ref, uddot_scale)
     assert_close_rel(lam, lam_ref, lam_scale)
+    # bit for bit against the float formula, through both entries to the kernel
+    uddot_bits, lam_bits = accel_reference(p, cd, u.tolist(), udot.tolist(), physical_time)
+    assert float_bits(uddot + [lam]) == float_bits(uddot_bits + [lam_bits])
     y = np.concatenate([u, udot])
-    assert np.array_equal(_flow_rhs(p, cd, physical_time)(y), np.concatenate([udot, uddot]))
+    assert float_bits(_flow_rhs(p, cd, physical_time)(y)) == float_bits(udot.tolist() + uddot_bits)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,7 @@
 """Integrators, quadrature, reconstruction, time change, and shooting."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,8 @@ from routhkit import (
     shoot_periodic,
 )
 from routhkit.integrate import _SHOOT_MAX_ITER, _dp_step, _rk4_step
+
+from conftest import float_bits
 
 OSC_CFG = IntegratorConfig(method="rk4", dt=1e-3)
 TWO_PI = 2.0 * np.pi
@@ -236,6 +240,32 @@ def reciprocal_rhs(y):
 def test_zero_division_raises_step_failure(run):
     with pytest.raises(StepFailure, match="non-finite"):
         run()
+
+
+# the three entries to the steppers, on the 2-state [1, 0] over a short span
+STEPPERS = [
+    lambda rhs, project: integrate_ode(rhs, [1.0, 0.0], 0.0, 0.01,
+                                       IntegratorConfig(method="rk4", dt=1e-3), project),
+    lambda rhs, project: integrate_ode(rhs, [1.0, 0.0], 0.0, 0.01,
+                                       IntegratorConfig(method="rk45", dt=1e-3), project),
+    lambda rhs, project: integrate_grid(rhs, [1.0, 0.0], [0.0, 0.005, 0.01], 1e-3, project),
+]
+STEPPER_IDS = ["rk4", "rk45", "integrate_grid"]
+
+
+@pytest.mark.parametrize("n", [1, 3], ids=["short", "long"])
+@pytest.mark.parametrize("run", STEPPERS, ids=STEPPER_IDS)
+def test_rhs_of_the_wrong_length_raises(run, n):
+    # a constant derivative never indexes the state, so nothing else fails first
+    with pytest.raises(ValueError, match="rhs must return 2 values"):
+        run(lambda y: [0.5] * n, None)
+
+
+@pytest.mark.parametrize("n", [1, 3], ids=["short", "long"])
+@pytest.mark.parametrize("run", STEPPERS, ids=STEPPER_IDS)
+def test_project_of_the_wrong_length_raises(run, n):
+    with pytest.raises(ValueError, match="project must return 2 values"):
+        run(lambda y: [0.5, 0.5], lambda y: [y[0]] * n)
 
 
 def test_rk45_span_too_short_to_step_raises_step_failure():
@@ -726,6 +756,73 @@ def test_dp_step_matches_explicit_tableau_sums():
         assert np.max(np.abs(got_err - (y5 - y4))) <= 1e-15 * scale
         # the last stage sits at the rounded stage point; |M| < 2
         assert np.max(np.abs(k_last - k[6])) <= 2e-15 * scale
+
+
+def zip_rk4_step(rhs, y, h, project=None):
+    """The RK4 step as one list comprehension per stage over zipped
+    components: the reference for the compiled step, bit for bit."""
+    hh = 0.5 * h
+    k1 = rhs(y)
+    k2 = rhs([a + hh * b for a, b in zip(y, k1)])
+    k3 = rhs([a + hh * b for a, b in zip(y, k2)])
+    k4 = rhs([a + h * b for a, b in zip(y, k3)])
+    h6 = h / 6.0
+    y = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+         for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    return y if project is None else project(y)
+
+
+def zip_dp_step(rhs, y, h, k1):
+    """The Dormand-Prince 5(4) trial as one list comprehension per stage over
+    zipped components: the reference for the compiled step, bit for bit."""
+    k2 = rhs([a + h * (1 / 5 * b1) for a, b1 in zip(y, k1)])
+    k3 = rhs([a + h * (3 / 40 * b1 + 9 / 40 * b2) for a, b1, b2 in zip(y, k1, k2)])
+    k4 = rhs([a + h * (44 / 45 * b1 - 56 / 15 * b2 + 32 / 9 * b3)
+              for a, b1, b2, b3 in zip(y, k1, k2, k3)])
+    k5 = rhs([a + h * (19372 / 6561 * b1 - 25360 / 2187 * b2 + 64448 / 6561 * b3
+                       - 212 / 729 * b4)
+              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)])
+    k6 = rhs([a + h * (9017 / 3168 * b1 - 355 / 33 * b2 + 46732 / 5247 * b3 + 49 / 176 * b4
+                       - 5103 / 18656 * b5)
+              for a, b1, b2, b3, b4, b5 in zip(y, k1, k2, k3, k4, k5)])
+    y5 = [a + h * (35 / 384 * b1 + 500 / 1113 * b3 + 125 / 192 * b4 - 2187 / 6784 * b5
+                   + 11 / 84 * b6)
+          for a, b1, b3, b4, b5, b6 in zip(y, k1, k3, k4, k5, k6)]
+    k7 = rhs(y5)
+    err = [h * ((35 / 384 - 5179 / 57600) * b1 + (500 / 1113 - 7571 / 16695) * b3
+                + (125 / 192 - 393 / 640) * b4 + (-2187 / 6784 + 92097 / 339200) * b5
+                + (11 / 84 - 187 / 2100) * b6 - 1 / 40 * b7)
+           for b1, b3, b4, b5, b6, b7 in zip(k1, k3, k4, k5, k6, k7)]
+    return y5, err, k7
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.integers(1, 12), h=st.floats(1e-4, 0.5),
+       coeffs=st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+       as_array=st.booleans(), projected=st.booleans())
+def test_compiled_steps_match_component_loops_bit_for_bit(data, d, h, coeffs, as_array,
+                                                          projected):
+    y = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d), label="y")
+    a, b, c = coeffs
+
+    def rhs(s):
+        # nonlinear, and coupling every component to its neighbour and the sum
+        total = sum(s)
+        out = [a * math.sin(s[i - 1]) * s[i] + b * s[i] * s[i] - c * math.cos(s[i]) * total
+               for i in range(d)]
+        return np.array(out) if as_array else out
+
+    def project(s):
+        out = [v / (1.0 + 0.125 * v * v) for v in s]
+        return np.array(out) if as_array else out
+
+    project = project if projected else None
+    assert float_bits(_rk4_step(rhs, y, h, project)) == \
+        float_bits(zip_rk4_step(rhs, y, h, project))
+    k1 = rhs(y)
+    got, want = _dp_step(rhs, y, h, k1), zip_dp_step(rhs, y, h, k1)
+    for got_part, want_part in zip(got, want):
+        assert float_bits(got_part) == float_bits(want_part)
 
 
 def count_dp_trials(monkeypatch):
