@@ -16,6 +16,7 @@ trajectory equivalence rather than through surface Christoffel symbols.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
@@ -201,17 +202,26 @@ def project_to_surface(p: RigidBodyParams, u, udot):
     return np.array(out[:3]), np.array(out[3:])
 
 
-def _accel_kernel(p: RigidBodyParams, cd: ConformalData, physical_time: bool):
-    """Constrained acceleration and multiplier as one closure over the
-    body's constants: six floats (u, udot) in, (ax, ay, az, lam) out; no
-    surface checks.
+def conformal_energy(p: RigidBodyParams, cd: ConformalData, s: EllipsoidState,
+                     physical_time: bool = False) -> float:
+    """Conserved energy of the corresponding constrained flow."""
+    kinetic = 0.5 * float(s.udot @ s.udot)
+    if physical_time:
+        return conformal_factor(p, s.u) * kinetic + cd.value(s.u)
+    return kinetic + kolosov_potential(p, cd, s.u)
+
+
+def _flow_rhs(p: RigidBodyParams, cd: ConformalData, physical_time: bool = False):
+    """The constrained flow as an ``integrate_ode`` right-hand side: six
+    floats (u, udot) in (a list, or an array for direct callers), the list
+    [vx, vy, vz, ax, ay, az] out; no surface checks.
 
     Explicit integrator stage points sit slightly off the surface, so the
-    flow evaluates this formula without checking them.  The constants are
-    bound with the association of the written formula (``2.0 * A * x`` is
-    ``(2.0 * A) * x``).  Products rather than powers let a huge state
-    overflow to inf instead of raising.  A potential is handed an array
-    point, built only when there is one.
+    flow evaluates its formula without checking them.  The body's constants
+    are bound once per flow, with the association of the written formula
+    (``2.0 * A * x`` is ``(2.0 * A) * x``).  Products rather than powers let
+    a huge state overflow to inf instead of raising.  A potential is handed
+    an array point, built only when there is one.
     """
     A, B, C = p.A, p.B, p.C
     abc = A * B * C
@@ -221,7 +231,8 @@ def _accel_kernel(p: RigidBodyParams, cd: ConformalData, physical_time: bool):
     free = cd.potential is None
     value, grad = cd.value, cd.grad
 
-    def accel(x, y, z, vx, vy, vz):
+    def rhs(state) -> list:
+        x, y, z, vx, vy, vz = state if isinstance(state, list) else _floats(state)
         gx, gy, gz = A2 * x, B2 * y, C2 * z
         # conformal factor a = abc / s and its gradient c * (ex, ey, ez)
         ex, ey, ez = AA * x, BB * y, CC * z
@@ -253,38 +264,8 @@ def _accel_kernel(p: RigidBodyParams, cd: ConformalData, physical_time: bool):
         # second derivative of the constraint: g . uddot + udot^T Hess(Phi) udot = 0
         hess_term = 2.0 * (A * vx * vx + B * vy * vy + C * vz * vz)
         lam = -(a * hess_term + gx * wx + gy * wy + gz * wz) / (gx * gx + gy * gy + gz * gz)
-        return (wx + lam * gx) * inv_a, (wy + lam * gy) * inv_a, (wz + lam * gz) * inv_a, lam
-
-    return accel
-
-
-def _accel(p: RigidBodyParams, cd: ConformalData, u, udot, physical_time: bool):
-    """The ``_accel_kernel`` formula at one state: three floats each of
-    ``u`` and ``udot`` in, the acceleration as a list of three floats and
-    the multiplier out."""
-    *uddot, lam = _accel_kernel(p, cd, physical_time)(*u, *udot)
-    return uddot, lam
-
-
-def conformal_energy(p: RigidBodyParams, cd: ConformalData, s: EllipsoidState,
-                     physical_time: bool = False) -> float:
-    """Conserved energy of the corresponding constrained flow."""
-    kinetic = 0.5 * float(s.udot @ s.udot)
-    if physical_time:
-        return conformal_factor(p, s.u) * kinetic + cd.value(s.u)
-    return kinetic + kolosov_potential(p, cd, s.u)
-
-
-def _flow_rhs(p: RigidBodyParams, cd: ConformalData, physical_time: bool = False):
-    """The constrained flow as an ``integrate_ode`` right-hand side: six
-    floats (u, udot) in, a list of six floats out."""
-    accel = _accel_kernel(p, cd, physical_time)
-
-    def rhs(y) -> list:
-        # direct callers may pass an array
-        x, y, z, vx, vy, vz = y if isinstance(y, list) else _floats(y)
-        ax, ay, az, _ = accel(x, y, z, vx, vy, vz)
-        return [vx, vy, vz, ax, ay, az]
+        return [vx, vy, vz,
+                (wx + lam * gx) * inv_a, (wy + lam * gy) * inv_a, (wz + lam * gz) * inv_a]
 
     return rhs
 
@@ -292,10 +273,7 @@ def _flow_rhs(p: RigidBodyParams, cd: ConformalData, physical_time: bool = False
 def _flow_project(p: RigidBodyParams):
     """Surface projection as an ``integrate_ode`` projection: six floats in,
     a list of six floats out."""
-    def project(y) -> list:
-        return _project(p, y)
-
-    return project
+    return functools.partial(_project, p)
 
 
 def constrained_flow(p: RigidBodyParams, cd: ConformalData, s0: EllipsoidState,
@@ -447,13 +425,13 @@ def dsigma_length(p: RigidBodyParams, cd: ConformalData, orbit: PeriodicOrbit,
     seventh state that the projection leaves alone, so one integration
     gives it.  Every stored point must lie on the surface."""
     flow, project = _flow_rhs(p, cd), _flow_project(p)
-    A2, B2, C2, abc = p.A * p.A, p.B * p.B, p.C * p.C, p.A * p.B * p.C
+    AA, BB, CC, abc = p.A * p.A, p.B * p.B, p.C * p.C, p.A * p.B * p.C
     h_abc, free = cd.h * p.A * p.B * p.C, cd.potential is None
 
     def rhs(s: list) -> list:
         x, y, z, vx, vy, vz = s[:6]
         weight = h_abc if free else abc * (cd.h - cd.value(np.array([x, y, z])))
-        a_h = weight / (A2 * x * x + B2 * y * y + C2 * z * z)
+        a_h = weight / (AA * x * x + BB * y * y + CC * z * z)
         return flow(s[:6]) + [math.sqrt(a_h * (vx * vx + vy * vy + vz * vz))]
 
     def project_carried(s: list) -> list:

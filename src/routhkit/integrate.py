@@ -21,6 +21,7 @@ from .errors import (
     MomentumMismatch,
     NoConvergence,
     NonPositiveFactor,
+    SingularReducedMass,
     StepFailure,
 )
 from .reduction import (
@@ -29,9 +30,9 @@ from .reduction import (
     ReducedState,
     SymmetricSystem,
     _checked_metric,
+    _cyclic_rates,
     _finite_vector,
     _real,
-    _reduced_accel,
     accel,
     energy_full,
     gradient,
@@ -158,6 +159,7 @@ _DP45_STAGES = (
 )
 
 _LENGTH_ERROR = "{} must return {} values, one per state component"
+_EMPTY_ERROR = "the state must have at least one component"
 
 # method -> (signature, lines before the stages, stage table, lines after them)
 _STEP_SOURCE = {
@@ -253,15 +255,18 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
             step (used by constrained surface flows).
 
     Raises:
-        ValueError: the span is not finite (t0 or t1 infinite or nan), or
-            t1 <= t0, raised before ``rhs`` is evaluated; or ``rhs`` or
-            ``project`` returned another number of values than the state has.
+        ValueError: the state is empty, the span is not finite (t0 or t1
+            infinite or nan), or t1 <= t0, raised before ``rhs`` is
+            evaluated; or ``rhs`` or ``project`` returned another number of
+            values than the state has.
         StepFailure: step size underflow (also a span too short to step); a
             derivative, state or error estimate not finite; ArithmeticError.
         MaxStepsExceeded: step budget exhausted.
     """
     y = np.asarray(s0, dtype=float).tolist()
     d = len(y)
+    if not d:
+        raise ValueError(_EMPTY_ERROR)
     t0, t1 = float(t0), float(t1)
     if not math.isfinite(t1 - t0):
         raise ValueError(f"integration span [{t0:.6g}, {t1:.6g}] must be finite")
@@ -350,8 +355,9 @@ def propagate(rhs, s0, t0: float, t1: float, cfg: IntegratorConfig,
     floats in, a sequence of as many floats out.
 
     Raises:
-        ValueError: the span is not finite or t1 <= t0, or ``rhs`` or
-            ``project`` returned another number of values than the state has.
+        ValueError: the state is empty, the span is not finite or t1 <= t0,
+            or ``rhs`` or ``project`` returned another number of values than
+            the state has.
         StepFailure, MaxStepsExceeded: as ``integrate_ode``.
     """
     return integrate_ode(rhs, s0, t0, t1, cfg, project=project).states[-1]
@@ -365,7 +371,8 @@ def integrate_grid(rhs, s0, grid, dt: float, project=None) -> np.ndarray:
 
     Raises:
         ValueError: ``grid`` breaks the ``cumulative_quadrature`` grid
-            contract, ``dt`` is not finite and positive, or ``rhs`` or
+            contract, ``dt`` is not finite and positive or the state is
+            empty, raised before ``rhs`` is evaluated; or ``rhs`` or
             ``project`` returned another number of values than the state has.
         StepFailure: a substep's state is not finite or raised ArithmeticError.
     """
@@ -373,6 +380,8 @@ def integrate_grid(rhs, s0, grid, dt: float, project=None) -> np.ndarray:
     if not 0.0 < dt < math.inf:
         raise ValueError("dt must be finite and positive")
     y = np.asarray(s0, dtype=float).tolist()
+    if not y:
+        raise ValueError(_EMPTY_ERROR)
     out = np.empty((len(ts), len(y)))
     out[0] = y
     for i in range(len(ts) - 1):
@@ -429,7 +438,11 @@ def integrate_full(sys: SymmetricSystem, s0: FullState, t0: float, t1: float,
 def reduced_vector_field(sys: SymmetricSystem, f: MomentumValue):
     """Reduced second-order field as a first-order rhs on (q, qdot).
 
-    Like ``full_rhs`` it reads the velocities as floats and returns the
+    Routh's equations are the shape rows of the full Euler-Lagrange system
+    on the momentum level set, so the state is completed with its cyclic
+    velocities at the momentum covector c and handed to the full kernel;
+    a failed linear solve there raises SingularReducedMass.  Like
+    ``full_rhs`` it reads the velocities as floats and returns the
     derivative as a list of floats.
     """
     n = sys.n
@@ -438,7 +451,12 @@ def reduced_vector_field(sys: SymmetricSystem, f: MomentumValue):
     def rhs(y) -> list:
         y = _floats(y)
         qdot = y[n:]
-        return qdot + _reduced_accel(sys, c, np.array(y[:n], dtype=float), qdot)
+        q = np.array(y[:n], dtype=float)
+        K, L = _checked_metric(sys, q)
+        try:
+            return qdot + accel(sys, q, qdot + _cyclic_rates(sys, K, L, qdot, c), K, L)[:n]
+        except np.linalg.LinAlgError as exc:
+            raise SingularReducedMass("reduced mass matrix solve failed") from exc
 
     return rhs
 

@@ -18,11 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    ChartBoundary,
-    NotPositiveDefinite,
-    SingularReducedMass,
-)
+from .errors import ChartBoundary, NotPositiveDefinite
 
 # Evaluations closer than this to the chart boundary are refused.
 BOUNDARY_TOL = 1e-6
@@ -674,20 +670,6 @@ def accel(sys: SymmetricSystem, q: np.ndarray, v, K, L) -> list:
         return np.linalg.solve(K, force).tolist()
     force = _force(_metric_grad(sys, q, packed=True), _potential_floats(sys, q), v, n)
     return _solve(L, force)
-
-
-def _reduced_accel(sys: SymmetricSystem, c: list, q: np.ndarray, qdot: list) -> list:
-    """Shape acceleration of the Routhian at fixed momentum covector c.
-
-    Routh's equations are the shape rows of the full Euler-Lagrange system
-    on the momentum level set, so the state is completed with its cyclic
-    velocities and handed to the full kernel.
-    """
-    K, L = _checked_metric(sys, q)
-    try:
-        return accel(sys, q, qdot + _cyclic_rates(sys, K, L, qdot, c), K, L)[:sys.n]
-    except np.linalg.LinAlgError as exc:
-        raise SingularReducedMass("reduced mass matrix solve failed") from exc
 
 
 def shape_momentum(sys: SymmetricSystem, f: MomentumValue, q, qdot) -> np.ndarray:

@@ -34,7 +34,6 @@ from routhkit import (
     surface_residual,
 )
 from routhkit.ellipsoid import (
-    _accel,
     _factor_unchecked,
     _flow_rhs,
     constraint_gradient,
@@ -219,14 +218,13 @@ def test_reflection_invariance(triaxial, rng):
 def test_great_circle_acceleration_on_unit_sphere():
     # factor and potential constant along the sphere: great-circle motion;
     # the radial (off-surface) part of the potential gradient only shifts
-    # the multiplier, here to (1 - |udot|^2) / 2 for h = 1/2
+    # the multiplier
     p = RigidBodyParams(1.0, 1.0, 1.0)
     cd = ConformalData(h=0.5)
     u = np.array([1.0, 0.0, 0.0])
     udot = np.array([0.0, 0.7, 0.0])
-    uddot, lam = _accel(p, cd, u.tolist(), udot.tolist(), False)
+    uddot = _flow_rhs(p, cd)(u.tolist() + udot.tolist())[3:]
     assert np.allclose(uddot, -float(udot @ udot) * u, atol=1e-13)
-    assert lam == pytest.approx((1.0 - float(udot @ udot)) / 2.0, rel=1e-12)
 
 
 def test_single_step_constraint_residual(triaxial):
@@ -631,8 +629,8 @@ def test_sections_unit_energy_regression_anchors(triaxial):
 def accel_oracle(p, cd, u, udot, physical_time):
     """The constrained acceleration written with 3-vector numpy algebra.
 
-    Returns (uddot, lam) and the sizes of the terms summed into each, the
-    scales against which rounding differences are measured.
+    Returns uddot and the size of the terms summed into it, the scale
+    against which rounding differences are measured.
     """
     g = constraint_gradient(p, u)
     gn2 = float(g @ g)
@@ -649,15 +647,14 @@ def accel_oracle(p, cd, u, udot, physical_time):
     w = kinetic * ga - float(ga @ udot) * udot - gu
     hess_term = 2.0 * float(p.A * udot[0] ** 2 + p.B * udot[1] ** 2 + p.C * udot[2] ** 2)
     lam = -(a * hess_term + float(g @ w)) / gn2
-    lam_scale = (abs(a * hess_term) + float(np.abs(g) @ np.abs(w))) / gn2
     uddot_scale = (np.linalg.norm(w) + abs(lam) * np.linalg.norm(g)) / a
-    return (w + lam * g) / a, lam, uddot_scale, lam_scale
+    return (w + lam * g) / a, uddot_scale
 
 
 def accel_reference(p, cd, u, udot, physical_time):
     """The constrained acceleration written out on floats, term by term in
     the operation order the flow kernel must keep, with every constant read
-    from ``p`` and ``cd`` at the call: (uddot as three floats, lam)."""
+    from ``p`` and ``cd`` at the call: uddot as three floats."""
     A, B, C = p.A, p.B, p.C
     x, y, z = u
     vx, vy, vz = udot
@@ -689,7 +686,7 @@ def accel_reference(p, cd, u, udot, physical_time):
         wz = -(dv * ez + factor * fz)
     hess_term = 2.0 * (A * vx * vx + B * vy * vy + C * vz * vz)
     lam = -(a * hess_term + gx * wx + gy * wy + gz * wz) / (gx * gx + gy * gy + gz * gz)
-    return [(wx + lam * gx) * inv_a, (wy + lam * gy) * inv_a, (wz + lam * gz) * inv_a], lam
+    return [(wx + lam * gx) * inv_a, (wy + lam * gy) * inv_a, (wz + lam * gz) * inv_a]
 
 
 def project_oracle(p, u, udot):
@@ -758,15 +755,16 @@ def assert_close_rel(actual, expected, scale=None, rel=1e-12):
 def test_accel_matches_vector_formula(kind, physical_time, state, h):
     p, u, udot = state
     cd = POTENTIALS[kind](h)
-    uddot, lam = _accel(p, cd, u, udot, physical_time)
-    uddot_ref, lam_ref, uddot_scale, lam_scale = accel_oracle(p, cd, u, udot, physical_time)
-    assert_close_rel(uddot, uddot_ref, uddot_scale)
-    assert_close_rel(lam, lam_ref, lam_scale)
-    # bit for bit against the float formula, through both entries to the kernel
-    uddot_bits, lam_bits = accel_reference(p, cd, u.tolist(), udot.tolist(), physical_time)
-    assert float_bits(uddot + [lam]) == float_bits(uddot_bits + [lam_bits])
+    rhs = _flow_rhs(p, cd, physical_time)
     y = np.concatenate([u, udot])
-    assert float_bits(_flow_rhs(p, cd, physical_time)(y)) == float_bits(udot.tolist() + uddot_bits)
+    uddot_ref, uddot_scale = accel_oracle(p, cd, u, udot, physical_time)
+    assert_close_rel(rhs(y)[3:], uddot_ref, uddot_scale)
+    # bit for bit against the float formula, from a list and from an array;
+    # uddot = (w + lam g) / a, so this pins the multiplier's arithmetic too
+    expected = float_bits(udot.tolist() + accel_reference(p, cd, u.tolist(), udot.tolist(),
+                                                          physical_time))
+    assert float_bits(rhs(y.tolist())) == expected
+    assert float_bits(rhs(y)) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -791,9 +789,11 @@ def test_non_finite_state_gives_non_finite_rhs(kind, physical_time, state, slot,
     y = np.concatenate([u, udot])
     y[slot] = bad
     rhs = _flow_rhs(p, POTENTIALS[kind](0.7), physical_time)
-    assert not np.all(np.isfinite(rhs(y)))
-    with pytest.raises(StepFailure):
-        integrate_ode(rhs, y, 0.0, 1.0, IntegratorConfig(method="rk45", dt=1e-2))
+    # at an infinite coordinate the potential itself gives the expected NaN
+    with np.errstate(invalid="ignore"):
+        assert not np.all(np.isfinite(rhs(y)))
+        with pytest.raises(StepFailure):
+            integrate_ode(rhs, y, 0.0, 1.0, IntegratorConfig(method="rk45", dt=1e-2))
 
 
 @pytest.mark.parametrize("physical_time", [False, True], ids=["rescaled", "physical"])

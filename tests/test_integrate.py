@@ -242,13 +242,14 @@ def test_zero_division_raises_step_failure(run):
         run()
 
 
-# the three entries to the steppers, on the 2-state [1, 0] over a short span
+# the three entries to the steppers, by default on the 2-state [1, 0], over a short span
 STEPPERS = [
-    lambda rhs, project: integrate_ode(rhs, [1.0, 0.0], 0.0, 0.01,
-                                       IntegratorConfig(method="rk4", dt=1e-3), project),
-    lambda rhs, project: integrate_ode(rhs, [1.0, 0.0], 0.0, 0.01,
-                                       IntegratorConfig(method="rk45", dt=1e-3), project),
-    lambda rhs, project: integrate_grid(rhs, [1.0, 0.0], [0.0, 0.005, 0.01], 1e-3, project),
+    lambda rhs, project, s0=(1.0, 0.0): integrate_ode(
+        rhs, s0, 0.0, 0.01, IntegratorConfig(method="rk4", dt=1e-3), project),
+    lambda rhs, project, s0=(1.0, 0.0): integrate_ode(
+        rhs, s0, 0.0, 0.01, IntegratorConfig(method="rk45", dt=1e-3), project),
+    lambda rhs, project, s0=(1.0, 0.0): integrate_grid(
+        rhs, s0, [0.0, 0.005, 0.01], 1e-3, project),
 ]
 STEPPER_IDS = ["rk4", "rk45", "integrate_grid"]
 
@@ -266,6 +267,14 @@ def test_rhs_of_the_wrong_length_raises(run, n):
 def test_project_of_the_wrong_length_raises(run, n):
     with pytest.raises(ValueError, match="project must return 2 values"):
         run(lambda y: [0.5, 0.5], lambda y: [y[0]] * n)
+
+
+@pytest.mark.parametrize("run", STEPPERS, ids=STEPPER_IDS)
+def test_empty_state_raises_before_any_rhs_call(run):
+    calls = []
+    with pytest.raises(ValueError, match="the state must have at least one component"):
+        run(lambda y: calls.append(y) or [], None, [])
+    assert calls == []
 
 
 def test_rk45_span_too_short_to_step_raises_step_failure():

@@ -151,6 +151,15 @@ def test_momentum_round_trip_on_drawn_systems(seed, constant, data):
     back = momentum_map(sys, complete_state(sys, f, r)).as_vector()
     ref = max(1.0, float(np.max(np.abs(f.as_vector()))))
     assert np.max(np.abs(back - f.as_vector())) / ref <= _ROUND_TRIP[2]
+    # and the other way round: a drawn full state, completed at its own
+    # momentum from its shape part and cyclic positions, gets its velocity back
+    w = np.array(data.draw(_vector(sys.k + sys.l, 100.0)))
+    s = FullState(q=r.q, x=data.draw(_vector(sys.k, 10.0)), psi=data.draw(_vector(sys.l, 10.0)),
+                  qdot=r.qdot, xdot=w[:sys.k], psidot=w[sys.k:])
+    lifted = complete_state(sys, momentum_map(sys, s), ReducedState(q=s.q, qdot=s.qdot),
+                            x=s.x, psi=s.psi)
+    ref = max(1.0, float(np.max(np.abs(w))))
+    assert np.max(np.abs(lifted.velocity() - s.velocity())) / ref <= _ROUND_TRIP[2]
 
 
 # ---------------------------------------------------------------------------
@@ -280,24 +289,35 @@ def test_reduced_mass_hand_schur():
     assert M[0, 0] == pytest.approx(2.0 - 1.0 / 3.0, abs=1e-15)
 
 
-def test_reduced_mass_is_velocity_hessian(triaxial_system, zero_momentum, rng):
-    # oracle: central second differences of the Routhian in the velocity;
-    # the Routhian is exactly quadratic there, so a large step is exact
-    sys = triaxial_system
-    h = 1e-3
-    for _ in range(5):
-        q = np.array([rng.uniform(-np.pi, np.pi), rng.uniform(0.4, np.pi - 0.4)])
-        qdot = rng.normal(size=2)
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), constant=st.booleans(), data=st.data())
+def test_reduced_mass_is_velocity_hessian(triaxial_system, zero_momentum, seed, constant, data):
+    # oracle: central second differences of the Routhian in the velocity, on
+    # the rigid body and on a drawn system at a drawn nonzero momentum (the
+    # velocity-quadratic part does not depend on it); the Routhian is exactly
+    # quadratic in the velocity, so a large step is exact and keeps the
+    # rounding of its momentum terms far below the bound
+    sys = random_system(np.random.default_rng(seed), constant=constant)
+    c = data.draw(_vector(sys.k + sys.l, 100.0).filter(lambda c: max(map(abs, c)) >= 1.0))
+    cases = [
+        (triaxial_system, zero_momentum,
+         [data.draw(st.floats(-np.pi, np.pi)), data.draw(st.floats(0.4, np.pi - 0.4))],
+         data.draw(_vector(2, 3.0))),
+        (sys, MomentumValue(xi=c[:sys.k], eta=c[sys.k:]),
+         data.draw(_vector(sys.n, 10.0)), data.draw(_vector(sys.n, 3.0))),
+    ]
+    h = 1.0
+    for sys, f, q, qdot in cases:
+        q, qdot = np.array(q), np.array(qdot)
         M = reduced_mass_matrix(sys, q)
-        hess = np.empty((2, 2))
-        for a in range(2):
-            for b in range(2):
+        hess = np.empty_like(M)
+        for a in range(sys.n):
+            for b in range(sys.n):
                 pp = qdot.copy(); pp[a] += h; pp[b] += h
                 pm = qdot.copy(); pm[a] += h; pm[b] -= h
                 mp = qdot.copy(); mp[a] -= h; mp[b] += h
                 mm = qdot.copy(); mm[a] -= h; mm[b] -= h
-                vals = [routhian(sys, zero_momentum, ReducedState(q=q, qdot=v))
-                        for v in (pp, pm, mp, mm)]
+                vals = [routhian(sys, f, ReducedState(q=q, qdot=v)) for v in (pp, pm, mp, mm)]
                 hess[a, b] = (vals[0] - vals[1] - vals[2] + vals[3]) / (4 * h * h)
         assert np.max(np.abs(hess - M)) / np.max(np.abs(M)) < 1e-6
         assert np.all(np.linalg.eigvalsh(M) > 0)
