@@ -226,15 +226,18 @@ def _dp_step(rhs, y, h: float, k1):
     return _kernel("dp45", len(y))(rhs, y, h, k1)
 
 
-def _checked(fn, *args):
-    """``fn(*args)``, or None when the call raises ArithmeticError (Python
-    floats raise OverflowError and ZeroDivisionError where arrays give inf
-    and nan) or returns a state that is not finite."""
+def _checked(what: str, t: float, fn, *args):
+    """``fn(*args)``, the ``what`` at time t; StepFailure when the call raises
+    ArithmeticError (Python floats raise OverflowError and ZeroDivisionError
+    where arrays give inf and nan) or returns a value that is not finite."""
     try:
         out = fn(*args)
     except ArithmeticError:
-        return None
-    return out if all(map(math.isfinite, out)) else None
+        pass
+    else:
+        if all(map(math.isfinite, out)):
+            return out
+    raise StepFailure(f"non-finite {what} at t={t:.6g}")
 
 
 def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: float,
@@ -261,7 +264,10 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
             values than the state has.
         StepFailure: step size underflow (also a span too short to step); a
             derivative, state or error estimate not finite; ArithmeticError.
-        MaxStepsExceeded: step budget exhausted.
+            RK4 checks the derivative at s0 through its first step, so a
+            non-finite one there fails as that step's state.
+        MaxStepsExceeded: step budget exhausted (for rk4, raised before
+            ``rhs`` is evaluated).
     """
     y = np.asarray(s0, dtype=float).tolist()
     d = len(y)
@@ -272,9 +278,6 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
         raise ValueError(f"integration span [{t0:.6g}, {t1:.6g}] must be finite")
     if not t1 > t0:
         raise ValueError("t1 must exceed t0")
-    k1 = _checked(rhs, y)
-    if k1 is None:
-        raise StepFailure("non-finite derivative at the initial state")
 
     if cfg.method == "rk4":
         span = t1 - t0
@@ -282,18 +285,16 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
         if n_steps > cfg.max_steps:
             raise MaxStepsExceeded(f"{n_steps} steps exceed max_steps={cfg.max_steps}")
         h = span / n_steps
-        times = t0 + (span / n_steps) * np.arange(n_steps + 1)
+        times = t0 + h * np.arange(n_steps + 1)
         times[-1] = t1
         states = np.empty((n_steps + 1, d))
         states[0] = y
-        for i in range(n_steps):
-            y = _checked(_rk4_step, rhs, y, h, project)
-            if y is None:
-                raise StepFailure(f"non-finite state at t={times[i + 1]:.6g}")
-            states[i + 1] = y
+        for i, t in enumerate(times[1:].tolist(), 1):
+            states[i] = y = _checked("state", t, _rk4_step, rhs, y, h, project)
         return Trajectory(times=times, states=states)
 
     # rk45
+    k1 = _checked("derivative", t0, rhs, y)  # the first stage of the first trial
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     t = t0
     h = min(cfg.dt, t1 - t0)
@@ -329,14 +330,10 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
             y = y_new
             k1 = k_last  # first-same-as-last
             if project is not None:
-                y = _checked(project, y)
-                if y is None:
-                    raise StepFailure(f"non-finite state at t={t:.6g}")
+                y = _checked("state", t, project, y)
                 if len(y) != d:
                     raise ValueError(_LENGTH_ERROR.format("project", d))
-                k1 = _checked(rhs, y)
-                if k1 is None:
-                    raise StepFailure(f"non-finite derivative at t={t:.6g}")
+                k1 = _checked("derivative", t, rhs, y)
             times.append(t)
             states.append(y)
         elif err_norm != err_norm:
@@ -389,9 +386,7 @@ def integrate_grid(rhs, s0, grid, dt: float, project=None) -> np.ndarray:
         n_sub = max(1, int(math.ceil(seg / dt - 1e-12)))
         h = seg / n_sub
         for j in range(n_sub):
-            y = _checked(_rk4_step, rhs, y, h, project)
-            if y is None:
-                raise StepFailure(f"non-finite state at t={ts[i] + (j + 1) * h:.6g}")
+            y = _checked("state", ts[i] + (j + 1) * h, _rk4_step, rhs, y, h, project)
         out[i + 1] = y
     return out
 

@@ -13,7 +13,10 @@ from routhkit import (
 
 # Hypothesis draws the same examples on every run and keeps no example
 # database between runs, so the suite's outcome does not depend on history.
+# The "sweep" profile (--hypothesis-profile sweep) lets --hypothesis-seed
+# choose the draws instead, so a sweep over seeds tests new examples.
 settings.register_profile("reproducible", derandomize=True, database=None)
+settings.register_profile("sweep", derandomize=False, database=None)
 settings.load_profile("reproducible")
 
 # Frozen test geometry: triaxial free body and a zero-momentum initial state

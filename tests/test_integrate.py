@@ -90,9 +90,17 @@ def test_integrators_are_deterministic():
 
 
 def test_max_steps_exceeded():
+    # RK4 knows its step count before it evaluates rhs at all
+    calls = [0]
+
+    def rhs(y):
+        calls[0] += 1
+        return osc_rhs(y)
+
     with pytest.raises(MaxStepsExceeded):
-        integrate_ode(osc_rhs, [1.0, 0.0], 0.0, 1.0,
+        integrate_ode(rhs, [1.0, 0.0], 0.0, 1.0,
                       IntegratorConfig(dt=1e-4, max_steps=10))
+    assert calls[0] == 0
 
 
 @pytest.mark.parametrize("rhs, s0, t1, cfg, error, message", [
@@ -192,15 +200,19 @@ def square_rhs(y):
     return [y[0] ** 2]
 
 
-@pytest.mark.parametrize("run", [
-    lambda: integrate_ode(square_rhs, [1e200], 0.0, 1.0, IntegratorConfig(method="rk4")),
-    lambda: integrate_ode(square_rhs, [1e200], 0.0, 1.0, IntegratorConfig(method="rk45")),
+@pytest.mark.parametrize("run, message", [
+    # RK4 checks the derivative at the start through its first step
+    (lambda: integrate_ode(square_rhs, [1e200], 0.0, 1.0, IntegratorConfig(method="rk4")),
+     "non-finite state"),
+    (lambda: integrate_ode(square_rhs, [1e200], 0.0, 1.0, IntegratorConfig(method="rk45")),
+     "non-finite derivative"),
     # the first step is accepted; the derivative at the projected state overflows
-    lambda: integrate_ode(square_rhs, [1.0], 0.0, 1.0, IntegratorConfig(method="rk45"),
-                          project=lambda y: [1e200]),
+    (lambda: integrate_ode(square_rhs, [1.0], 0.0, 1.0, IntegratorConfig(method="rk45"),
+                           project=lambda y: [1e200]),
+     "non-finite derivative"),
 ], ids=["rk4-initial", "rk45-initial", "rk45-after-projection"])
-def test_overflowing_derivative_raises_step_failure(run):
-    with pytest.raises(StepFailure, match="non-finite derivative"):
+def test_overflowing_derivative_raises_step_failure(run, message):
+    with pytest.raises(StepFailure, match=message):
         run()
 
 
@@ -877,10 +889,13 @@ def test_section_period_step_counts(monkeypatch):
     assert counted[0] == 387
 
 
-@pytest.mark.parametrize("projected", [False, True], ids=["plain", "projected"])
-def test_rk45_rhs_evaluations(monkeypatch, projected):
-    # 1 initial evaluation (also the first stage), 6 per trial, and with a
-    # projection one re-evaluation per accepted step
+@pytest.mark.parametrize("method, projected", [
+    ("rk45", False), ("rk45", True), ("rk4", False), ("rk4", True),
+], ids=["plain", "projected", "rk4-plain", "rk4-projected"])
+def test_rk45_rhs_evaluations(monkeypatch, method, projected):
+    # rk45: 1 initial evaluation (also the first stage), 6 per trial, and with
+    # a projection one re-evaluation per accepted step; rk4: 4 per step and
+    # none at the start, with a projection or without
     trials = count_dp_trials(monkeypatch)
     rhs_calls = [0]
 
@@ -891,9 +906,13 @@ def test_rk45_rhs_evaluations(monkeypatch, projected):
     def project(y):
         return np.asarray(y) / np.linalg.norm(y)
 
-    cfg = IntegratorConfig(method="rk45", dt=0.1, abs_tol=1e-10, rel_tol=1e-10)
+    cfg = IntegratorConfig(method=method, dt=0.1, abs_tol=1e-10, rel_tol=1e-10)
     traj = integrate_ode(rhs, [1.0, 0.0], 0.0, 3.0, cfg,
                          project=project if projected else None)
     accepted = traj.times.size - 1
-    assert trials[0] >= accepted > 0
-    assert rhs_calls[0] == 1 + 6 * trials[0] + (accepted if projected else 0)
+    if method == "rk4":
+        assert accepted == 30
+        assert rhs_calls[0] == 4 * accepted
+    else:
+        assert trials[0] >= accepted > 0
+        assert rhs_calls[0] == 1 + 6 * trials[0] + (accepted if projected else 0)

@@ -13,12 +13,14 @@ from routhkit import (
     MomentumValue,
     NotPositiveDefinite,
     ReducedState,
+    RigidBodyParams,
     SymmetricSystem,
     complete_state,
     constant_matrix_system,
     lagrangian_full,
     mass_matrix_blocks,
     momentum_map,
+    rb_system,
     reduced_energy,
     reduced_mass_matrix,
     routhian,
@@ -29,13 +31,14 @@ from routhkit.integrate import full_rhs
 from routhkit.reduction import (
     _UPPER,
     _checked_metric,
+    _cyclic_rates,
     evaluate_metric,
     gradient,
     shape_momentum,
 )
 from routhkit.verify import _ROUND_TRIP, random_system
 
-from conftest import kinetic_oracle, reduced_field
+from conftest import float_bits, kinetic_oracle, reduced_field
 
 
 def identity_system(n, k, l):
@@ -160,6 +163,21 @@ def test_momentum_round_trip_on_drawn_systems(seed, constant, data):
                             x=s.x, psi=s.psi)
     ref = max(1.0, float(np.max(np.abs(w))))
     assert np.max(np.abs(lifted.velocity() - s.velocity())) / ref <= _ROUND_TRIP[2]
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 6), angle=st.booleans(),
+       constant=st.booleans(), data=st.data())
+def test_one_cyclic_division_on_the_numpy_path_is_the_solve(seed, n, angle, constant, data):
+    # d >= 4 takes the numpy path, where one cyclic coordinate is divided out
+    # by K[n, n] instead of solved for: a fast path that must give the solve's floats
+    sys = random_system(np.random.default_rng(seed), n=n, k=int(not angle), l=int(angle),
+                        constant=constant)
+    q = np.array(data.draw(_vector(n, 10.0)))
+    qdot, c = data.draw(_vector(n, 3.0)), data.draw(_vector(1, 100.0))
+    K, L = _checked_metric(sys, q)
+    assert L is None
+    solved = np.linalg.solve(K[n:, n:], np.subtract(c, K[n:, :n] @ qdot))
+    assert float_bits(_cyclic_rates(sys, K, L, qdot, c)) == float_bits(solved)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +441,38 @@ def test_symplectic_pair_lhs_matches_the_full_form_on_random_systems(rng, n, k, 
     for _ in range(5):
         shape_block = check_lhs_against_the_full_form(sys, f, random_state(rng, sys))
         assert constant or shape_block > 1e-3     # a live A block on a q-dependent metric
+
+
+def curl(field, q, h=1e-5):
+    """d_phi field_theta - d_theta field_phi at q = (phi, theta), by central differences."""
+    e = np.eye(2) * h
+    d_phi = (field(q + e[0]) - field(q - e[0])) / (2 * h)
+    d_theta = (field(q + e[1]) - field(q - e[1])) / (2 * h)
+    return d_phi[1] - d_theta[0]
+
+
+@pytest.mark.parametrize("body", [(1.0, 2.0, 3.0), (1.0, 1.5, 2.0), (2.0, 3.0, 4.5)])
+def test_shape_block_of_the_reduced_form_is_the_gyroscopic_curvature(rng, body):
+    # The shape momentum is P = M qdot + c A with A = Kqc / D the mechanical
+    # connection, so the shape-shape block A - A^T of the reduced form, which
+    # the determinant identity cannot see, moves with c by c times the curl of A
+    sys = rb_system(RigidBodyParams(*body))
+
+    def connection(q):
+        _, Kqc, D = mass_matrix_blocks(sys, q)
+        return Kqc[:, 0] / D[0, 0]
+
+    for _ in range(3):
+        q = np.array([rng.uniform(-np.pi, np.pi), rng.uniform(0.4, np.pi - 0.4)])
+        qdot = rng.normal(size=2)
+        c = rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0])
+
+        def omega(c):
+            return curl(lambda p: shape_momentum(sys, MomentumValue([], [c]), p, qdot), q)
+
+        gyroscopic = c * curl(connection, q)
+        assert abs(gyroscopic) > 1e-2
+        assert abs(omega(c) - omega(0.0) - gyroscopic) <= 1e-7 * abs(gyroscopic)
 
 
 # ---------------------------------------------------------------------------
