@@ -36,6 +36,7 @@ from .reduction import (
     momentum_map,
     reduced_energy,
     reduced_mass_matrix,
+    reduced_vector_field,
     routhian,
     shape_momentum,
     solve_cyclic,
@@ -53,7 +54,6 @@ from .integrate import (
     integrate_reduced,
     propagate,
     reconstruct,
-    reduced_vector_field,
     reparametrize_time,
     shoot_periodic,
 )

@@ -29,13 +29,12 @@ from .integrate import (
     PeriodicOrbit,
     Trajectory,
     TrajectoryMeta,
-    _floats,
     cumulative_quadrature,
     integrate_ode,
     propagate,
     shoot_periodic,
 )
-from .reduction import _real, gradient
+from .reduction import _floats, _real, gradient
 from .rigidbody import RigidBodyParams
 
 # Constraint residual allowed before an operation refuses the state.

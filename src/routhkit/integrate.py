@@ -21,7 +21,6 @@ from .errors import (
     MomentumMismatch,
     NoConvergence,
     NonPositiveFactor,
-    SingularReducedMass,
     StepFailure,
 )
 from .reduction import (
@@ -29,15 +28,14 @@ from .reduction import (
     MomentumValue,
     ReducedState,
     SymmetricSystem,
-    _checked_metric,
-    _cyclic_rates,
     _finite_vector,
     _real,
-    accel,
     energy_full,
+    full_rhs,
     gradient,
     momentum_map,
     reduced_energy,
+    reduced_vector_field,
     solve_cyclic,
 )
 
@@ -226,6 +224,15 @@ def _dp_step(rhs, y, h: float, k1):
     return _kernel("dp45", len(y))(rhs, y, h, k1)
 
 
+def _rk4_count(span: float, dt: float) -> int:
+    """Number of RK4 steps of at most dt over a finite span > 0;
+    MaxStepsExceeded when span / dt overflows."""
+    ratio = span / dt
+    if ratio == math.inf:
+        raise MaxStepsExceeded(f"span {span:.6g} at dt={dt:.6g}: step count overflows")
+    return max(1, int(math.ceil(ratio - 1e-12)))
+
+
 def _checked(what: str, t: float, fn, *args):
     """``fn(*args)``, the ``what`` at time t; StepFailure when the call raises
     ArithmeticError (Python floats raise OverflowError and ZeroDivisionError
@@ -266,8 +273,9 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
             derivative, state or error estimate not finite; ArithmeticError.
             RK4 checks the derivative at s0 through its first step, so a
             non-finite one there fails as that step's state.
-        MaxStepsExceeded: step budget exhausted (for rk4, raised before
-            ``rhs`` is evaluated).
+        MaxStepsExceeded: step budget exhausted, or for rk4 a step count
+            span / dt that overflows (for rk4, raised before ``rhs`` is
+            evaluated).
     """
     y = np.asarray(s0, dtype=float).tolist()
     d = len(y)
@@ -281,7 +289,7 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
 
     if cfg.method == "rk4":
         span = t1 - t0
-        n_steps = max(1, int(math.ceil(span / cfg.dt - 1e-12)))
+        n_steps = _rk4_count(span, cfg.dt)
         if n_steps > cfg.max_steps:
             raise MaxStepsExceeded(f"{n_steps} steps exceed max_steps={cfg.max_steps}")
         h = span / n_steps
@@ -372,6 +380,8 @@ def integrate_grid(rhs, s0, grid, dt: float, project=None) -> np.ndarray:
             empty, raised before ``rhs`` is evaluated; or ``rhs`` or
             ``project`` returned another number of values than the state has.
         StepFailure: a substep's state is not finite or raised ArithmeticError.
+        MaxStepsExceeded: a segment's step count overflows, raised before
+            ``rhs`` is evaluated.
     """
     ts = _grid(grid).tolist()
     if not 0.0 < dt < math.inf:
@@ -379,43 +389,15 @@ def integrate_grid(rhs, s0, grid, dt: float, project=None) -> np.ndarray:
     y = np.asarray(s0, dtype=float).tolist()
     if not y:
         raise ValueError(_EMPTY_ERROR)
+    counts = [_rk4_count(b - a, dt) for a, b in zip(ts, ts[1:])]
     out = np.empty((len(ts), len(y)))
     out[0] = y
-    for i in range(len(ts) - 1):
-        seg = ts[i + 1] - ts[i]
-        n_sub = max(1, int(math.ceil(seg / dt - 1e-12)))
-        h = seg / n_sub
+    for i, n_sub in enumerate(counts):
+        h = (ts[i + 1] - ts[i]) / n_sub
         for j in range(n_sub):
             y = _checked("state", ts[i] + (j + 1) * h, _rk4_step, rhs, y, h, project)
         out[i + 1] = y
     return out
-
-
-def _floats(y) -> list:
-    """The state as a list of floats: the ``integrate_ode`` contract."""
-    return y if isinstance(y, list) else np.asarray(y, dtype=float).tolist()
-
-
-def full_rhs(sys: SymmetricSystem) -> Callable[[list], list]:
-    """Right-hand side of the full Euler-Lagrange system in all coordinates.
-
-    The kinetic matrix and potential depend on the shape coordinates only,
-    so the generalized force has no cyclic-position terms and the momentum
-    integral is a first integral of the assembled field by construction.
-    The velocities are read from the state as floats and the derivative is
-    returned as a list of floats, the ``integrate_ode`` contract; only the
-    shape position is handed to the system as an array.
-    """
-    n = sys.n
-    d = sys.dim
-
-    def rhs(y) -> list:
-        y = _floats(y)
-        q = np.array(y[:n], dtype=float)
-        v = y[d:]
-        return v + accel(sys, q, v, *_checked_metric(sys, q))
-
-    return rhs
 
 
 def integrate_full(sys: SymmetricSystem, s0: FullState, t0: float, t1: float,
@@ -428,32 +410,6 @@ def integrate_full(sys: SymmetricSystem, s0: FullState, t0: float, t1: float,
         energy0=energy_full(sys, s0),
     )
     return traj
-
-
-def reduced_vector_field(sys: SymmetricSystem, f: MomentumValue):
-    """Reduced second-order field as a first-order rhs on (q, qdot).
-
-    Routh's equations are the shape rows of the full Euler-Lagrange system
-    on the momentum level set, so the state is completed with its cyclic
-    velocities at the momentum covector c and handed to the full kernel;
-    a failed linear solve there raises SingularReducedMass.  Like
-    ``full_rhs`` it reads the velocities as floats and returns the
-    derivative as a list of floats.
-    """
-    n = sys.n
-    c = f.as_vector().tolist()
-
-    def rhs(y) -> list:
-        y = _floats(y)
-        qdot = y[n:]
-        q = np.array(y[:n], dtype=float)
-        K, L = _checked_metric(sys, q)
-        try:
-            return qdot + accel(sys, q, qdot + _cyclic_rates(sys, K, L, qdot, c), K, L)[:n]
-        except np.linalg.LinAlgError as exc:
-            raise SingularReducedMass("reduced mass matrix solve failed") from exc
-
-    return rhs
 
 
 def integrate_reduced(sys: SymmetricSystem, f: MomentumValue, r0: ReducedState,

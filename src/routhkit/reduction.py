@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ChartBoundary, NotPositiveDefinite
+from .errors import ChartBoundary, NotPositiveDefinite, SingularReducedMass
 
 # Evaluations closer than this to the chart boundary are refused.
 BOUNDARY_TOL = 1e-6
@@ -670,6 +670,59 @@ def accel(sys: SymmetricSystem, q: np.ndarray, v, K, L) -> list:
         return np.linalg.solve(K, force).tolist()
     force = _force(_metric_grad(sys, q, packed=True), _potential_floats(sys, q), v, n)
     return _solve(L, force)
+
+
+def _floats(y) -> list:
+    """The state as a list of floats: the ``integrate_ode`` contract."""
+    return y if isinstance(y, list) else np.asarray(y, dtype=float).tolist()
+
+
+def full_rhs(sys: SymmetricSystem) -> Callable[[list], list]:
+    """Right-hand side of the full Euler-Lagrange system in all coordinates.
+
+    The kinetic matrix and potential depend on the shape coordinates only,
+    so the generalized force has no cyclic-position terms and the momentum
+    integral is a first integral of the assembled field by construction.
+    The velocities are read from the state as floats and the derivative is
+    returned as a list of floats, the ``integrate_ode`` contract; only the
+    shape position is handed to the system as an array.
+    """
+    n = sys.n
+    d = sys.dim
+
+    def rhs(y) -> list:
+        y = _floats(y)
+        q = np.array(y[:n], dtype=float)
+        v = y[d:]
+        return v + accel(sys, q, v, *_checked_metric(sys, q))
+
+    return rhs
+
+
+def reduced_vector_field(sys: SymmetricSystem, f: MomentumValue):
+    """Reduced second-order field as a first-order rhs on (q, qdot).
+
+    Routh's equations are the shape rows of the full Euler-Lagrange system
+    on the momentum level set, so the state is completed with its cyclic
+    velocities at the momentum covector c and handed to the full kernel;
+    a failed linear solve there raises SingularReducedMass.  Like
+    ``full_rhs`` it reads the velocities as floats and returns the
+    derivative as a list of floats.
+    """
+    n = sys.n
+    c = f.as_vector().tolist()
+
+    def rhs(y) -> list:
+        y = _floats(y)
+        qdot = y[n:]
+        q = np.array(y[:n], dtype=float)
+        K, L = _checked_metric(sys, q)
+        try:
+            return qdot + accel(sys, q, qdot + _cyclic_rates(sys, K, L, qdot, c), K, L)[:n]
+        except np.linalg.LinAlgError as exc:
+            raise SingularReducedMass("reduced mass matrix solve failed") from exc
+
+    return rhs
 
 
 def shape_momentum(sys: SymmetricSystem, f: MomentumValue, q, qdot) -> np.ndarray:

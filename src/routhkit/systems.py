@@ -19,7 +19,8 @@ def central_force_system(potential: Optional[Callable[[float], float]] = None) -
     """
 
     def mass(q: np.ndarray) -> tuple:
-        return 1.0, 0.0, float(q[0]) ** 2
+        r = float(q[0])
+        return 1.0, 0.0, r * r      # a product: a float power raises on overflow
 
     def mass_grad(q: np.ndarray) -> tuple:
         return (0.0, 0.0, 2.0 * float(q[0])),

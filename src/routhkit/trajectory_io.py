@@ -48,8 +48,8 @@ def write_trajectory_csv(path: str, traj: Trajectory, labels: List[str]) -> None
         lines.append(f"# momentum_xi = {json.dumps([float(v) for v in meta.momentum.xi])}")
         lines.append(f"# momentum_eta = {json.dumps([float(v) for v in meta.momentum.eta])}")
     lines.append(",".join(["t"] + list(labels)))
-    for t, row in zip(traj.times, traj.states):
-        lines.append(",".join(f"{v:.17g}" for v in np.concatenate([[t], row])))
+    for row in np.column_stack([traj.times, traj.states]).tolist():
+        lines.append(",".join(f"{v:.17g}" for v in row))
     write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -343,10 +343,14 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
 
     Raises:
         InvalidParams: ``params`` carries a potential; the run covers the
-            free body only.
+            free body only.  Or A*B*C, the numerator of the density a(u),
+            overflows or underflows (refused before any flow).
     """
     if params.potential is not None:
         raise InvalidParams("the ellipsoid equivalence run expects a free body (no potential)")
+    abc = params.A * params.B * params.C
+    if not 0.0 < abc < math.inf:
+        raise InvalidParams(f"inertia product A*B*C = {abc:g} is not a finite positive float")
     sys = rb_system(params)
     f0 = MomentumValue.zero(0, 1)
     if energy_target is not None:

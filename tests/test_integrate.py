@@ -103,6 +103,23 @@ def test_max_steps_exceeded():
     assert calls[0] == 0
 
 
+@pytest.mark.parametrize("run", [
+    lambda rhs: integrate_ode(rhs, [1.0, 0.0], 0.0, 1e308, IntegratorConfig(dt=1e-3)),
+    lambda rhs: integrate_ode(rhs, [1.0, 0.0], 0.0, 1.0, IntegratorConfig(dt=5e-324)),
+    lambda rhs: integrate_grid(rhs, [1.0, 0.0], [0.0, 0.5, 1.0], 5e-324),
+], ids=["integrate_ode-long-span", "integrate_ode-tiny-dt", "integrate_grid-tiny-dt"])
+def test_overflowing_rk4_step_count_refused_before_any_rhs_call(run):
+    calls = []
+
+    def rhs(y):
+        calls.append(y)
+        return osc_rhs(y)
+
+    with pytest.raises(MaxStepsExceeded, match="step count overflows"):
+        run(rhs)
+    assert calls == []
+
+
 @pytest.mark.parametrize("rhs, s0, t1, cfg, error, message", [
     (osc_rhs, [1.0, 0.0], 100.0, IntegratorConfig(method="rk45", dt=1e-3, max_steps=3),
      MaxStepsExceeded, "max_steps=3"),

@@ -689,6 +689,47 @@ def test_cli_verify_at_extreme_inertia_scale(tmp_path, capsys, inertia, code, fa
     assert [c["name"] for c in checks if not c["passed"]] == failed
 
 
+def _refused(argv, code, message, capsys):
+    """``main(argv)`` returns ``code`` and prints an error naming ``message``, no traceback."""
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("verb, flag, value", [
+    ("simulate-reduced", "--t-end", "1e308"), ("simulate-full", "--t-end", "1e308"),
+    ("verify", "--t-end", "1e308"), ("simulate-reduced", "--dt", "5e-324"),
+    ("simulate-full", "--dt", "5e-324"), ("verify", "--dt", "5e-324"),
+    ("kolosov", "--dt", "5e-324"),
+])
+def test_cli_rk4_step_count_overflow_exit_5(tmp_path, capsys, verb, flag, value):
+    cfg_path = write_config(tmp_path, base_config())
+    _refused([verb, "--config", cfg_path, flag, value, "--output", str(tmp_path / "out")],
+             5, "step count overflows", capsys)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("verb", ["simulate-reduced", "simulate-full"])
+def test_cli_central_force_metric_overflow_exit_3(tmp_path, capsys, verb):
+    # r^2 = 1e400 overflows: the metric has an inf entry
+    cfg = {"system": "central-force", "potential": {"kind": "none"},
+           "momentum": {"xi": [], "eta": [1.0]}, "t_end": 1.0, "dt": 0.001,
+           "initial": {"reduced": {"q": [1.0e200], "qdot": [1.0e200]}}}
+    _refused([verb, "--config", write_config(tmp_path, cfg), "--output", str(tmp_path / "o")],
+             3, "kinetic matrix has a non-finite entry", capsys)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e103, 1e110, 1e160, 1e200, 1e-110, 1e-160])
+def test_cli_kolosov_refuses_an_inertia_product_out_of_range_exit_2(tmp_path, capsys, scale):
+    cfg_path = write_config(tmp_path, base_config(inertia=[scale, 2 * scale, 3 * scale],
+                                                  dt=0.01))
+    _refused(["kolosov", "--config", cfg_path, "--output", str(tmp_path / "ell.csv")],
+             2, "inertia product A*B*C", capsys)
+
+
 def test_cli_dt_override_changes_grid(tmp_path, capsys):
     cfg_path = write_config(tmp_path, base_config(t_end=0.5))
     out = str(tmp_path / "r.csv")
