@@ -351,7 +351,8 @@ def section_seed(p: RigidBodyParams, cd: ConformalData, plane: str):
 
     Raises:
         InvalidParams: the energy does not exceed the potential somewhere
-            on the ellipse, so the zero-energy speed is not real.
+            on the ellipse, so the zero-energy speed is not real, or that
+            speed underflows to 0 somewhere on it.
     """
     if plane not in _SECTION_PLANE:
         raise ValueError(f"plane must be one of x, y, z, got {plane!r}")
@@ -374,6 +375,11 @@ def section_seed(p: RigidBodyParams, cd: ConformalData, plane: str):
             "ellipse"
         )
     speed = np.sqrt(2.0 * _factor_unchecked(p, u) * margin)
+    if not (speed > 0.0).all():
+        raise InvalidParams(
+            f"zero-energy speed on the {plane}-section ellipse underflows to "
+            f"{speed.min():g} (inertia {moments})"
+        )
     darc = np.hypot(sin_a / ri, cos_a / rj)
     T_guess = float(cumulative_quadrature(alpha, darc / speed)[-1])
 

@@ -291,7 +291,7 @@ def integrate_ode(rhs: Callable[[list], Sequence[float]], s0, t0: float, t1: flo
         span = t1 - t0
         n_steps = _rk4_count(span, cfg.dt)
         if n_steps > cfg.max_steps:
-            raise MaxStepsExceeded(f"{n_steps} steps exceed max_steps={cfg.max_steps}")
+            raise MaxStepsExceeded(f"{n_steps:.12g} steps exceed max_steps={cfg.max_steps}")
         h = span / n_steps
         times = t0 + h * np.arange(n_steps + 1)
         times[-1] = t1

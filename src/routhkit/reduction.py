@@ -199,8 +199,9 @@ def guard_chart(sys: SymmetricSystem, q: np.ndarray) -> None:
     if sys.pole_guard is not None:
         dist = float(sys.pole_guard(np.asarray(q, dtype=float)))
         if dist < BOUNDARY_TOL:
+            where = f"within {dist:.3e} of" if dist >= 0.0 else f"{-dist:.3e} past"
             raise ChartBoundary(
-                f"state within {dist:.3e} of the chart boundary (guard {BOUNDARY_TOL:.1e})"
+                f"state {where} the chart boundary (guard {BOUNDARY_TOL:.1e})"
             )
 
 

@@ -81,37 +81,6 @@ def heavy_potential(coefficient: float) -> Callable[[float, float], float]:
     return v0
 
 
-def _metric_entries(p: RigidBodyParams, phi: float, theta: float):
-    sp, cp = math.sin(phi), math.cos(phi)
-    st, ct = math.sin(theta), math.cos(theta)
-    k_pp = p.C
-    k_pt = 0.0
-    k_ppsi = p.C * ct
-    k_tt = p.A * cp * cp + p.B * sp * sp
-    k_tpsi = (p.A - p.B) * st * sp * cp
-    k_psipsi = (p.A * sp * sp + p.B * cp * cp) * st * st + p.C * ct * ct
-    return k_pp, k_pt, k_ppsi, k_tt, k_tpsi, k_psipsi
-
-
-def _metric_entry_derivatives(p: RigidBodyParams, phi: float, theta: float):
-    """Derivatives of the nonconstant ``_metric_entries`` in phi and in theta.
-
-    K_pp and K_pt are constant, so each tuple starts at K_ppsi.
-    """
-    sp, cp = math.sin(phi), math.cos(phi)
-    st, ct = math.sin(theta), math.cos(theta)
-    ab = p.A - p.B
-    d_phi = (0.0,                                  # k_ppsi
-             -2.0 * ab * sp * cp,                  # k_tt
-             ab * st * (cp * cp - sp * sp),        # k_tpsi
-             2.0 * ab * sp * cp * st * st)         # k_psipsi
-    d_theta = (-p.C * st,
-               0.0,
-               ab * ct * sp * cp,
-               2.0 * (p.A * sp * sp + p.B * cp * cp - p.C) * st * ct)
-    return d_phi, d_theta
-
-
 def rb_system(p: RigidBodyParams) -> SymmetricSystem:
     """Adapted-chart system for the rigid body: n=2 shape (phi, theta), l=1.
 
@@ -120,14 +89,34 @@ def rb_system(p: RigidBodyParams) -> SymmetricSystem:
     potentials are differenced.
     """
 
+    A, B, C = p.A, p.B, p.C
+    ab = A - B
+
     # The metric and its derivatives are handed over packed: the upper
     # triangles (K_pp, K_pt, K_ppsi, K_tt, K_tpsi, K_psipsi) as floats.
     def mass_matrix(q: np.ndarray) -> tuple:
-        return _metric_entries(p, q[0], q[1])
+        sp, cp = math.sin(q[0]), math.cos(q[0])
+        st, ct = math.sin(q[1]), math.cos(q[1])
+        return (C,                                            # k_pp
+                0.0,                                          # k_pt
+                C * ct,                                       # k_ppsi
+                A * cp * cp + B * sp * sp,                    # k_tt
+                ab * st * sp * cp,                            # k_tpsi
+                (A * sp * sp + B * cp * cp) * st * st + C * ct * ct)  # k_psipsi
 
     def mass_matrix_grad(q: np.ndarray) -> tuple:
-        d_phi, d_theta = _metric_entry_derivatives(p, q[0], q[1])
-        return (0.0, 0.0) + d_phi, (0.0, 0.0) + d_theta
+        sp, cp = math.sin(q[0]), math.cos(q[0])
+        st, ct = math.sin(q[1]), math.cos(q[1])
+        return ((0.0, 0.0,                                    # k_pp, k_pt
+                 0.0,                                         # k_ppsi
+                 -2.0 * ab * sp * cp,                         # k_tt
+                 ab * st * (cp * cp - sp * sp),               # k_tpsi
+                 2.0 * ab * sp * cp * st * st),               # k_psipsi
+                (0.0, 0.0,                                    # k_pp, k_pt
+                 -C * st,
+                 0.0,
+                 ab * ct * sp * cp,
+                 2.0 * (A * sp * sp + B * cp * cp - C) * st * ct))
 
     def potential(q: np.ndarray) -> float:
         return p.potential_value(q[0], q[1])

@@ -345,6 +345,8 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
         InvalidParams: ``params`` carries a potential; the run covers the
             free body only.  Or A*B*C, the numerator of the density a(u),
             overflows or underflows (refused before any flow).
+        ConfigError: ``energy_target`` is not positive and finite, the seed
+            energy is not positive, or their ratio overflows or underflows.
     """
     if params.potential is not None:
         raise InvalidParams("the ellipsoid equivalence run expects a free body (no potential)")
@@ -361,7 +363,11 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
             raise ConfigError(
                 f"energy_target rescales the seed velocity, but the seed energy is {e_now:.6g}"
             )
-        r0 = ReducedState(q=r0.q, qdot=r0.qdot * np.sqrt(energy_target / e_now))
+        factor = energy_target / e_now
+        if not 0.0 < factor < math.inf:
+            raise ConfigError(f"energy_target / seed energy = {factor:g} is not a finite "
+                              "positive float, so the seed velocity cannot be rescaled")
+        r0 = ReducedState(q=r0.q, qdot=r0.qdot * np.sqrt(factor))
     h = reduced_energy(sys, f0, r0)
     cd = ConformalData(h=h)
     cfg = IntegratorConfig(method="rk4", dt=dt, max_steps=10_000_000)

@@ -730,6 +730,50 @@ def test_cli_kolosov_refuses_an_inertia_product_out_of_range_exit_2(tmp_path, ca
              2, "inertia product A*B*C", capsys)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_kolosov_refuses_an_underflowing_section_speed_exit_2(tmp_path, capsys):
+    # A*B*C = 6e-324 is subnormal, so it passes the product guard; the speed is 0
+    cfg_path = write_config(tmp_path, base_config(inertia=[1e-108, 2e-108, 3e-108], dt=0.01))
+    _refused(["kolosov", "--config", cfg_path, "--output", str(tmp_path / "ell.csv")],
+             2, "zero-energy speed on the x-section ellipse underflows", capsys)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e-107, 1e-105, 1e-60, 1e60, 1e102])
+def test_cli_kolosov_inertia_scales_inside_the_guards_exit_5(tmp_path, capsys, scale):
+    cfg_path = write_config(tmp_path, base_config(inertia=[scale, 2 * scale, 3 * scale],
+                                                  dt=0.01))
+    _refused(["kolosov", "--config", cfg_path, "--output", str(tmp_path / "ell.csv")],
+             5, "at t=0", capsys)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("qdot", [[0.4, 0.15], [0.4, 0.0]])
+def test_cli_kolosov_refuses_an_overflowing_energy_rescale_exit_2(tmp_path, capsys, qdot):
+    cfg = base_config(energy_target=1e308)
+    cfg["initial"]["reduced"]["qdot"] = qdot
+    _refused(["kolosov", "--config", write_config(tmp_path, cfg),
+              "--output", str(tmp_path / "ell.csv")],
+             2, "energy_target / seed energy = inf", capsys)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_huge_step_count_printed_in_g_format_exit_5(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, base_config())
+    _refused(["kolosov", "--config", cfg_path, "--dt", "1e-300",
+              "--output", str(tmp_path / "ell.csv")],
+             5, "error: 4.35758524878e+300 steps exceed max_steps=10000000", capsys)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_state_past_the_chart_boundary_says_past_exit_3(tmp_path, capsys):
+    cfg = base_config()
+    cfg["initial"]["reduced"]["qdot"] = [1e200, 1e200]
+    _refused(["simulate-reduced", "--config", write_config(tmp_path, cfg),
+              "--output", str(tmp_path / "r.csv")],
+             3, "error: state 5.000e+196 past the chart boundary", capsys)
+
+
 def test_cli_dt_override_changes_grid(tmp_path, capsys):
     cfg_path = write_config(tmp_path, base_config(t_end=0.5))
     out = str(tmp_path / "r.csv")
