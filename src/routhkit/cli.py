@@ -130,7 +130,7 @@ def cmd_kolosov(args) -> int:
                                 energy_target=cfg.energy_target)
 
     print(f"energy constant h = {report['h']:.12g}")
-    print(f"comparison window: one equatorial section period = {report['window']:.6g}")
+    print(f"comparison window: rescaled time of one equatorial period = {report['window']:.6g}")
     for plane, sec in report["sections"].items():
         print(f"section {plane}=0: period {sec['period']:.12g}, "
               f"closure {sec['closure_error']:.3e}, "

@@ -439,10 +439,7 @@ def _cyclic_rates(sys: SymmetricSystem, K, L, qdot: list, c: list) -> list:
     """
     n = sys.n
     if L is None:
-        rhs = np.subtract(c, K[n:, :n] @ qdot)
-        if sys.n_cyclic == 1:
-            return (rhs / K[n, n]).tolist()
-        return np.linalg.solve(K[n:, n:], rhs).tolist()
+        return np.linalg.solve(K[n:, n:], np.subtract(c, K[n:, :n] @ qdot)).tolist()
     m = sys.n_cyclic
     if m == 0:
         return []

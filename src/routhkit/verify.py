@@ -16,22 +16,19 @@ import numpy as np
 
 from .ellipsoid import (
     ConformalData,
-    EllipsoidState,
     _SHOOT_CFG,
     _flow_project,
     _flow_rhs,
     conformal_factor,
-    constrained_flow,
     kolosov_map,
     kolosov_velocity,
     principal_section_orbits,
 )
-from .errors import ConfigError, InvalidParams, NotPositiveDefinite, SpanTooShort
+from .errors import ConfigError, InvalidParams, MaxStepsExceeded, NotPositiveDefinite
 from .integrate import (
     IntegratorConfig,
     Trajectory,
     TrajectoryMeta,
-    cumulative_quadrature,
     integrate_full,
     integrate_grid,
     integrate_reduced,
@@ -329,8 +326,10 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
     """Free-body pipeline: map, rescale time, compare flows, find geodesics.
 
     The energy constant is taken from the initial state unless
-    ``energy_target`` rescales the initial velocity first.  The comparison
-    window is one period of the equatorial section orbit in rescaled time.
+    ``energy_target`` rescales the initial velocity first.  The chart run
+    lasts one period T = 2 pi sqrt(C / 2h) of the equatorial orbit, in
+    closed form; its image in rescaled time is the comparison window, up to
+    its last sample that closes a quadrature pair (``window`` is its tau).
 
     Returns the report that ``routhkit kolosov`` writes and the
     rescaled-time image on the ellipsoid that it writes as CSV.  After the
@@ -347,6 +346,7 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
             overflows or underflows (refused before any flow).
         ConfigError: ``energy_target`` is not positive and finite, the seed
             energy is not positive, or their ratio overflows or underflows.
+        MaxStepsExceeded: the chart run or check (b)'s flow needs over 1e7 steps at dt.
     """
     if params.potential is not None:
         raise InvalidParams("the ellipsoid equivalence run expects a free body (no potential)")
@@ -372,7 +372,7 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
     cd = ConformalData(h=h)
     cfg = IntegratorConfig(method="rk4", dt=dt, max_steps=10_000_000)
 
-    # geodesic candidates first: their periods set the comparison window
+    # closed-geodesic candidates, shot on the ellipsoid
     orbits = principal_section_orbits(params, cd)
     moments = (params.A, params.B, params.C)
     sections = {
@@ -385,25 +385,16 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
     }
     period_checks = _section_period_checks(moments, h, [orbits[p].period for p in "xyz"])
 
-    window_tau = sections["z"]["period"]
-    # matched rescaled-time data at the image of r0: u' = a(u) udot
-    u0 = kolosov_map(params, *r0.q)
-    s0 = EllipsoidState(u0, conformal_factor(params, u0)
-                        * kolosov_velocity(params, *r0.q, *r0.qdot))
-    # a(u) ranges over [ABC/max, ABC/min] on the surface, so no fixed multiple
-    # of the window bounds its physical time tightly; it is measured instead,
-    # as the integral of a(u) along the rescaled-time flow over the window
-    pre = constrained_flow(params, cd, s0, 0.0, window_tau, cfg)
-    t_window = cumulative_quadrature(pre.times, conformal_factor(params, pre.states[:, :3]))[-1]
-    red = integrate_reduced(sys, f0, r0, 0.0, 1.05 * float(t_window), cfg)
+    # relative-periodicity quantities on the chart-representable orbit; its
+    # period T, in closed form, is the physical time that the chart run covers
+    lam, T_eq, endpoint, rotating = _equatorial_analysis(params, sys, f0, h)
+    red = integrate_reduced(sys, f0, r0, 0.0, T_eq, cfg)
     image_t = map_reduced_trajectory(params, red)
     density = conformal_factor(params, image_t.states[:, :3])
     image_tau = reparametrize_time(image_t, density)
-    if image_tau.times[-1] < window_tau:
-        raise SpanTooShort(f"rescaled-time image ends at {image_tau.times[-1]:.6g}, "
-                           f"before the window {window_tau:.6g}")
-
-    stop = int(np.searchsorted(image_tau.times, window_tau)) + 1
+    # compared up to the last sample that closes a quadrature pair (a trailing odd
+    # interval has only the trapezoid rule), or to the end of a single step
+    stop = max(2 * ((image_tau.times.size - 1) // 2), 1) + 1
     tau_w = image_tau.times[:stop]
     img_w = image_tau.states[:stop]
 
@@ -413,12 +404,17 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
     worst_a = float(np.max(np.abs(0.5 * (uprime * uprime).sum(axis=1) - a * h) / (a * h)))
     rel_a = _result("zero-energy-relation", worst_a, 1e-6, "T(u') = a(u) h pointwise")
 
-    # (b) independently integrated rescaled-time flow from matched data
-    flow_states = integrate_grid(_flow_rhs(params, cd), pre.states[0], tau_w, dt,
-                                 project=_flow_project(params))
+    # (b) independently integrated rescaled-time flow from the image's first
+    # sample, with the rescaled-time velocity, stepped at dt in tau
+    if tau_w[-1] / dt > cfg.max_steps:
+        raise MaxStepsExceeded(f"{tau_w[-1] / dt:.12g} steps exceed max_steps={cfg.max_steps}")
+    project = _flow_project(params)
+    flow_states = integrate_grid(_flow_rhs(params, cd),
+                                 project(img_w[0, :3].tolist() + uprime[0].tolist()), tau_w, dt,
+                                 project=project)
     gap_b = float(np.max(np.abs(flow_states[:, :3] - img_w[:, :3])))
     match_b = _result("conformal-flow-match", gap_b, 1e-5,
-                      f"sup position gap over one section period ({window_tau:.4g})")
+                      f"sup position gap over one equatorial period ({tau_w[-1]:.4g})")
 
     # (c) rescaled-metric speed constancy along the original-time image
     speeds = np.sqrt(h * density) * np.linalg.norm(image_t.states[:, 3:], axis=-1)
@@ -426,11 +422,8 @@ def run_kolosov(params: RigidBodyParams, r0: ReducedState, dt: float = 1e-3,
     const_c = _result("rescaled-speed-constancy", variation, 1e-5,
                       f"mean speed {speeds.mean():.6g}, expect h*sqrt(2) = {h * np.sqrt(2):.6g}")
 
-    # relative-periodicity quantities on the chart-representable orbit
-    lam, T_eq, endpoint, rotating = _equatorial_analysis(params, sys, f0, h)
-
     checks = [rel_a, match_b, const_c, *period_checks, endpoint, rotating]
-    return report_dict(checks, h=h, window=window_tau, sections=sections,
+    return report_dict(checks, h=h, window=float(tau_w[-1]), sections=sections,
                        **{"lambda": lam}, equatorial_period=T_eq), image_tau
 
 

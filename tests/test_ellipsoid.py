@@ -11,6 +11,7 @@ from routhkit import (
     EllipsoidState,
     IntegratorConfig,
     InvalidParams,
+    MaxStepsExceeded,
     OffSurface,
     ReducedState,
     RigidBodyParams,
@@ -489,14 +490,65 @@ def test_perturbed_geodesic_refines_with_one_jacobian():
 
 
 def test_flow_match_covers_the_whole_window():
-    # a(u) reaches ABC / min(A, B, C) = 3 on this body, so the physical time
-    # of one section period can exceed max(A, B, C) windows; the image must
-    # still reach the end of the window that check (b) reports
+    # a(u) reaches ABC / min(A, B, C) = 3 on this body, so the rescaled time
+    # of one equatorial period depends on the orbit; the window that check (b)
+    # reports must be a sample of the image, and every check must pass over it
     rep, image = run_kolosov(RigidBodyParams(1.0, 1.5, 2.0),
                              ReducedState(q=[0.7, 1.1], qdot=[0.4, 0.15]),
                              dt=1e-2, energy_target=20.0)
     assert image.times[-1] >= rep["window"]
     assert all(c["passed"] for c in rep["checks"])
+
+
+def test_kolosov_report_is_covariant_under_inertia_scaling():
+    # at inertia 4^k (1, 2, 3) and energy 4^k h the chart run is the same in
+    # physical time, a(u) scales as 16^k and positions on the ellipsoid as
+    # 2^-k, with every square root exact; from k = 4 the absolute 1e-6 of
+    # section-periods-distinct no longer holds the scaled gaps apart.  Check
+    # (b) steps at dt in tau, one step per image interval from k = 0 up but
+    # more below, so only from k = 0 is its gap 2^-k times the k = 0 gap
+    def run(k):
+        s = 4.0 ** k
+        rep, _ = run_kolosov(RigidBodyParams(s, 2.0 * s, 3.0 * s),
+                             ReducedState(q=[0.7, 1.1], qdot=[0.4, 0.15]),
+                             dt=0.01, energy_target=s * 19.49)
+        values = {c["name"]: c["value"] for c in rep["checks"]}
+        scaled = [values["zero-energy-relation"], values["rescaled-speed-constancy"],
+                  rep["lambda"], rep["equatorial_period"], rep["window"] * 16.0 ** k]
+        passed = [(c["name"], c["passed"]) for c in rep["checks"]]
+        return passed, scaled, values["conformal-flow-match"] * 2.0 ** k
+
+    passed0, scaled0, gap0 = run(0)
+    assert all(ok for _, ok in passed0)
+    for k in (-1, 1, 2, 3):
+        passed, scaled, gap = run(k)
+        assert passed == passed0
+        assert scaled == pytest.approx(scaled0, rel=1e-12, abs=0.0)
+        if k >= 0:
+            assert gap == pytest.approx(gap0, rel=1e-12, abs=0.0)
+
+
+def test_one_step_kolosov_run_reports_that_step_as_its_window():
+    # the equatorial seed stays on the chart through one RK4 step of dt = 2T;
+    # with no quadrature pair closed, the window is that step's tau, never 0
+    h = 19.49
+    dt = 4.0 * np.pi * np.sqrt(3.0 / (2.0 * h))
+    rep, image = run_kolosov(RigidBodyParams(1.0, 2.0, 3.0),
+                             ReducedState(q=[0.0, np.pi / 2.0], qdot=[0.4, 0.0]),
+                             dt=dt, energy_target=h)
+    assert image.times.size == 2
+    assert rep["window"] == image.times[1] > 0.0
+
+
+def test_kolosov_refuses_a_rescaled_flow_over_the_step_budget():
+    # at inertia 1e-3 (1, 2, 3) the rescaled time of one equatorial period is
+    # ~4.6e5, so check (b)'s flow would take ~4.6e7 steps of dt = 0.01; it is
+    # refused before the first of them, while the chart run takes 175
+    with pytest.raises(MaxStepsExceeded,
+                       match=r"^46248277\.1218 steps exceed max_steps=10000000$"):
+        run_kolosov(RigidBodyParams(1e-3, 2e-3, 3e-3),
+                    ReducedState(q=[0.7, 1.1], qdot=[0.4, 0.15]),
+                    dt=0.01, energy_target=1e-3 * 19.49)
 
 
 @pytest.mark.parametrize("moments", [(1.0, 2.0, 3.0), (1.0, 1.5, 2.0), (2.0, 3.0, 4.5),

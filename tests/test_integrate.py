@@ -207,7 +207,10 @@ def float_blow_up_rhs(y):
     lambda: integrate_ode(float_blow_up_rhs, [1.0, 0.0], 0.0, 1.0,
                           IntegratorConfig(method="rk45", dt=0.1)),
     lambda: integrate_grid(float_blow_up_rhs, [1.0, 0.0], [0.0, 0.5, 1.0], 0.1),
-], ids=["rk4", "rk45", "integrate_grid"])
+    # every stage is finite; y5 overflows to inf by addition, which raises nothing
+    lambda: integrate_ode(lambda y: [1.7e308], [0.0], 0.0, 1.0,
+                          IntegratorConfig(method="rk45", dt=1.0)),
+], ids=["rk4", "rk45", "integrate_grid", "rk45-inf-state"])
 def test_float_overflow_raises_step_failure(run):
     with pytest.raises(StepFailure, match="non-finite state"):
         run()

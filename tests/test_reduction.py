@@ -168,8 +168,8 @@ def test_momentum_round_trip_on_drawn_systems(seed, constant, data):
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(3, 6), angle=st.booleans(),
        constant=st.booleans(), data=st.data())
 def test_one_cyclic_division_on_the_numpy_path_is_the_solve(seed, n, angle, constant, data):
-    # d >= 4 takes the numpy path, where one cyclic coordinate is divided out
-    # by K[n, n] instead of solved for: a fast path that must give the solve's floats
+    # d >= 4 takes the numpy path, which solves for one cyclic coordinate as for
+    # several: a division by K[n, n] put back as a fast path must give the solve's floats
     sys = random_system(np.random.default_rng(seed), n=n, k=int(not angle), l=int(angle),
                         constant=constant)
     q = np.array(data.draw(_vector(n, 10.0)))
